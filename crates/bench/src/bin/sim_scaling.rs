@@ -1,6 +1,5 @@
-//! Simulator engine scaling: the event-driven cycle-skipping engine and
-//! the adaptive hybrid engine vs. the lockstep reference, recorded as
-//! `BENCH_sim.json`.
+//! Simulator engine scaling: the event-driven cycle-skipping engine vs.
+//! the lockstep reference, recorded as `BENCH_sim.json`.
 //!
 //! Two families of shapes, all on paper-latency machines:
 //!
@@ -17,14 +16,14 @@
 //!
 //! A third family scales the machine itself: 128- and 256-core
 //! Table-2-latency configurations (`SimConfig::paper_scaled`), where
-//! lockstep pays the full core count every cycle and the density-adaptive
-//! engines must not.
+//! lockstep pays the full core count every cycle and the event engine
+//! must not.
 //!
-//! Every shape runs all three [`StepMode`]s over identical inputs and
-//! asserts the results are **cycle-identical** (stats, reads, final
-//! memory — the engine-equivalence contract of
-//! `tso-sim/tests/engine_equiv.rs`) before recording the wall-clock
-//! ratios.
+//! Every shape runs both [`StepMode`]s over identical inputs and asserts
+//! the results are **cycle-identical** (`SimResult::first_difference`,
+//! the engine-equivalence contract of `tso-sim/tests/engine_equiv.rs`)
+//! before recording the wall-clock ratios. The JSON states the host's
+//! `host_parallelism`.
 //!
 //! Usage:
 //!
@@ -138,7 +137,6 @@ struct Row {
     cycles: u64,
     event_ms: f64,
     lockstep_ms: f64,
-    hybrid_ms: f64,
     results_match: bool,
     paper_scale: bool,
 }
@@ -146,10 +144,6 @@ struct Row {
 impl Row {
     fn speedup(&self) -> f64 {
         self.lockstep_ms / self.event_ms.max(1e-6)
-    }
-
-    fn hybrid_speedup(&self) -> f64 {
-        self.lockstep_ms / self.hybrid_ms.max(1e-6)
     }
 }
 
@@ -171,18 +165,12 @@ fn run_all(runs: &[(SimConfig, Vec<Trace>)], mode: StepMode) -> (Vec<SimResult>,
 /// scheduler noise on shared machines).
 const PASSES: usize = 5;
 
-/// Cycle-identity of two result sets (the engine-equivalence contract;
-/// `engine` diagnostics legitimately differ between step modes).
+/// Cycle-identity of two result sets (the engine-equivalence contract).
 fn same_results(a: &[SimResult], b: &[SimResult]) -> bool {
     a.len() == b.len()
-        && a.iter().zip(b).all(|(a, b)| {
-            a.stats == b.stats
-                && a.per_core == b.per_core
-                && a.reads == b.reads
-                && a.memory == b.memory
-                && a.net == b.net
-                && a.deadlocked == b.deadlocked
-        })
+        && a.iter()
+            .zip(b)
+            .all(|(a, b)| a.first_difference(b).is_none())
 }
 
 fn measure(shape: &Shape) -> Row {
@@ -192,11 +180,10 @@ fn measure(shape: &Shape) -> Row {
     let _ = run_all(&runs, StepMode::EventDriven);
     let (ev, mut event_ms) = run_all(&runs, StepMode::EventDriven);
     let (ls, mut lockstep_ms) = run_all(&runs, StepMode::Lockstep);
-    let (hy, mut hybrid_ms) = run_all(&runs, StepMode::Hybrid);
-    // The remaining passes rotate the engine order: slow drift in machine
-    // speed (frequency scaling, throttling) would otherwise systematically
-    // tax whichever engine always ran last in the rotation.
-    const ORDER: [StepMode; 3] = [StepMode::EventDriven, StepMode::Lockstep, StepMode::Hybrid];
+    // The remaining passes alternate the engine order: slow drift in
+    // machine speed (frequency scaling, throttling) would otherwise
+    // systematically tax whichever engine always ran second.
+    const ORDER: [StepMode; 2] = [StepMode::EventDriven, StepMode::Lockstep];
     for p in 1..PASSES {
         for k in 0..ORDER.len() {
             let mode = ORDER[(p + k) % ORDER.len()];
@@ -204,11 +191,10 @@ fn measure(shape: &Shape) -> Row {
             match mode {
                 StepMode::EventDriven => event_ms = event_ms.min(ms),
                 StepMode::Lockstep => lockstep_ms = lockstep_ms.min(ms),
-                StepMode::Hybrid => hybrid_ms = hybrid_ms.min(ms),
             }
         }
     }
-    let results_match = same_results(&ev, &ls) && same_results(&hy, &ls);
+    let results_match = same_results(&ev, &ls);
     assert!(
         ev.iter().all(|r| !r.deadlocked),
         "{}: deadlocked — the avoidance scheme failed",
@@ -221,18 +207,18 @@ fn measure(shape: &Shape) -> Row {
         cycles: ev.iter().map(|r| r.stats.cycles).sum(),
         event_ms,
         lockstep_ms,
-        hybrid_ms,
         results_match,
         paper_scale: shape.cores() == 32,
     }
 }
 
-fn to_json(rows: &[Row], mode: &str) -> String {
+fn to_json(rows: &[Row], mode: &str, host_parallelism: usize) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
     let _ = writeln!(s, "  \"experiment\": \"sim_scaling\",");
     let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
     let _ = writeln!(s, "  \"mode\": \"{mode}\",");
+    let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
     let _ = writeln!(s, "  \"shapes\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -243,9 +229,7 @@ fn to_json(rows: &[Row], mode: &str) -> String {
         let _ = writeln!(s, "      \"simulated_cycles\": {},", r.cycles);
         let _ = writeln!(s, "      \"event_ms\": {:.3},", r.event_ms);
         let _ = writeln!(s, "      \"lockstep_ms\": {:.3},", r.lockstep_ms);
-        let _ = writeln!(s, "      \"hybrid_ms\": {:.3},", r.hybrid_ms);
         let _ = writeln!(s, "      \"speedup\": {:.3},", r.speedup());
-        let _ = writeln!(s, "      \"hybrid_speedup\": {:.3},", r.hybrid_speedup());
         let _ = writeln!(s, "      \"paper_scale\": {},", r.paper_scale);
         let _ = writeln!(s, "      \"results_match\": {}", r.results_match);
         let _ = writeln!(s, "    }}{comma}");
@@ -269,16 +253,6 @@ fn to_json(rows: &[Row], mode: &str) -> String {
         let log_sum: f64 = headline.iter().map(|r| r.speedup().ln()).sum();
         (log_sum / headline.len() as f64).exp()
     };
-    let hybrid_max = headline
-        .iter()
-        .map(|r| r.hybrid_speedup())
-        .fold(0.0, f64::max);
-    let hybrid_geomean = if headline.is_empty() {
-        0.0
-    } else {
-        let log_sum: f64 = headline.iter().map(|r| r.hybrid_speedup().ln()).sum();
-        (log_sum / headline.len() as f64).exp()
-    };
     let _ = writeln!(s, "  \"headline\": {{");
     let _ = writeln!(s, "    \"count\": {},", headline.len());
     let _ = writeln!(
@@ -287,9 +261,7 @@ fn to_json(rows: &[Row], mode: &str) -> String {
         headline.iter().all(|r| r.paper_scale)
     );
     let _ = writeln!(s, "    \"max_speedup\": {max:.3},");
-    let _ = writeln!(s, "    \"geomean_speedup\": {geomean:.3},");
-    let _ = writeln!(s, "    \"hybrid_max_speedup\": {hybrid_max:.3},");
-    let _ = writeln!(s, "    \"hybrid_geomean_speedup\": {hybrid_geomean:.3}");
+    let _ = writeln!(s, "    \"geomean_speedup\": {geomean:.3}");
     let _ = writeln!(s, "  }}");
     let _ = writeln!(s, "}}");
     s
@@ -350,7 +322,7 @@ fn main() {
             kernel(Benchmark::WsqMstRr, Atomicity::Type3),
             // The scaled machines the paper never evaluated: same Table 2
             // latencies, 128/256 cores. Lockstep pays every core every
-            // cycle; the adaptive engines must not.
+            // cycle; the event engine must not.
             Shape::Kernel {
                 bench: Benchmark::Genome,
                 cores: 128,
@@ -366,26 +338,25 @@ fn main() {
         ]
     };
 
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "sim_scaling ({}): event-driven + hybrid vs lockstep reference",
+        "sim_scaling ({}): event-driven vs lockstep reference (host parallelism {host_parallelism})",
         if smoke { "smoke" } else { "full" }
     );
     println!(
-        "{:<42} {:>12} {:>9} {:>9} {:>12} {:>7} {:>7}",
-        "shape", "sim cycles", "event ms", "hyb ms", "lockstep ms", "ev x", "hyb x"
+        "{:<42} {:>12} {:>9} {:>12} {:>7}",
+        "shape", "sim cycles", "event ms", "lockstep ms", "ev x"
     );
     let mut rows = Vec::new();
     for shape in &shapes {
         let row = measure(shape);
         println!(
-            "{:<42} {:>12} {:>9.1} {:>9.1} {:>12.1} {:>6.1}x {:>6.1}x",
+            "{:<42} {:>12} {:>9.1} {:>12.1} {:>6.1}x",
             row.name,
             row.cycles,
             row.event_ms,
-            row.hybrid_ms,
             row.lockstep_ms,
-            row.speedup(),
-            row.hybrid_speedup()
+            row.speedup()
         );
         if !row.results_match {
             eprintln!("ERROR: {}: engines disagree", row.name);
@@ -394,7 +365,11 @@ fn main() {
         rows.push(row);
     }
 
-    let json = to_json(&rows, if smoke { "smoke" } else { "full" });
+    let json = to_json(
+        &rows,
+        if smoke { "smoke" } else { "full" },
+        host_parallelism,
+    );
     std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
     println!("\nwrote {out_path}");
 }

@@ -142,11 +142,11 @@ pub fn fig10_write_deadlock(atomicity: Atomicity) -> Litmus {
     l
 }
 
-/// Fig. 1(d)/1(e) read/write hybrid: one thread replaces its read, the
+/// Fig. 1(d)/1(e) mixed replacement: one thread replaces its read, the
 /// other its write. Works for type-1/type-2 (both sides appear strongly
 /// ordered to the synchronizing op); for type-3 the write-replaced side is
 /// unprotected, so it fails.
-pub fn dekker_hybrid(atomicity: Atomicity) -> Litmus {
+pub fn dekker_mixed(atomicity: Atomicity) -> Litmus {
     let mut b = ProgramBuilder::new();
     // thread 0: write replaced
     b.thread().rmw(X, RmwKind::TestAndSet, atomicity).read(Y);
@@ -158,7 +158,7 @@ pub fn dekker_hybrid(atomicity: Atomicity) -> Litmus {
     // Failure: thread 0 misses thread 1's write (r1 = 0) and thread 1's RMW
     // read misses thread 0's RMW write (r2 = 0).
     Litmus {
-        name: format!("dekker-hybrid {atomicity}"),
+        name: format!("dekker-mixed {atomicity}"),
         description: "one side write-replaced, other side read-replaced, same flag".into(),
         program: b.build(),
         target: Target(vec![(1, 0), (2, 0)]),
@@ -175,7 +175,7 @@ pub fn all() -> Vec<Litmus> {
         tests.push(dekker_rmw_barriers_diff_addr(a));
         tests.push(dekker_rmw_barriers_same_addr(a));
         tests.push(fig10_write_deadlock(a));
-        tests.push(dekker_hybrid(a));
+        tests.push(dekker_mixed(a));
     }
     tests
 }

@@ -5,9 +5,10 @@ use coherence::CoherenceConfig;
 use interconnect::MeshConfig;
 use rmw_types::Atomicity;
 
-/// How [`Machine::run`](crate::Machine::run) advances simulated time. Both
-/// engines execute the same per-cycle core semantics and are
-/// **cycle-identical** in every observable (stats, reads, final memory —
+/// How [`Machine::run`](crate::Machine::run) advances simulated time. The
+/// two engines execute the same per-cycle core semantics and are
+/// **cycle-identical** in every observable
+/// ([`SimResult::first_difference`](crate::SimResult::first_difference) —
 /// asserted over the litmus corpus and the §4 kernels by
 /// `tests/engine_equiv.rs`); they differ only in which cycles they visit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,15 +21,6 @@ pub enum StepMode {
     /// stall-dominated (paper-scale) workloads.
     #[default]
     EventDriven,
-    /// Adaptive engine: tracks armed-event density over a sliding window
-    /// of visited cycles and switches between dense stepping (tick every
-    /// live core, no next-event scans — the lockstep shape) and sparse
-    /// event-driven jumps. State hands off cycle-exactly at every switch:
-    /// `now`, the watchdog (`last_progress`), and the pending
-    /// wheel/overflow contents all survive a transition untouched, so the
-    /// result is cycle-identical to both other engines whatever the
-    /// switch schedule.
-    Hybrid,
 }
 
 /// Full machine configuration.

@@ -32,14 +32,12 @@
 //! local buffer; buffered writes commit in order) — the integration tests
 //! cross-validate simulator outcomes against the axiomatic model.
 //!
-//! Time advances via one of three engines ([`StepMode`]): the lockstep
-//! reference (tick every core every cycle), the default **event-driven,
-//! cycle-skipping scheduler** ([`sched`]), which jumps straight to the
-//! next armed wake event, or the adaptive **hybrid** engine, which
-//! watches armed-event density and switches between dense
-//! (lockstep-style) stepping and sparse event jumps with a cycle-exact
-//! handoff. All three are cycle-identical by construction (enforced by
-//! `tests/engine_equiv.rs`).
+//! Time advances via one of two engines ([`StepMode`]): the default
+//! **event-driven, cycle-skipping scheduler** ([`sched`]), which jumps
+//! straight to the next armed wake event, and the lockstep reference
+//! (tick every core every cycle), kept as the oracle. The two are
+//! cycle-identical by construction ([`SimResult::first_difference`],
+//! enforced by `tests/engine_equiv.rs`).
 //!
 //! # Example
 //!

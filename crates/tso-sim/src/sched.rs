@@ -181,10 +181,6 @@ pub struct Scheduler {
     /// bits are collected in ascending id order and cleared on the way
     /// out, so a drain is sort-free and duplicate-free by construction.
     due_bits: Vec<u64>,
-    /// When nonzero, core/blocked arms targeting exactly this cycle are
-    /// dropped (see [`Scheduler::set_skip_core_arms_at`]). Machine-level
-    /// arms always land.
-    skip_core_arms_at: Cycle,
     enabled: bool,
     pending: usize,
     armed: u64,
@@ -205,7 +201,6 @@ impl Scheduler {
             bucket_cycle: Box::new([0; WHEEL_SIZE]),
             overflow: BinaryHeap::new(),
             due_bits: Vec::new(),
-            skip_core_arms_at: 0,
             enabled,
             pending: 0,
             armed: 0,
@@ -218,22 +213,6 @@ impl Scheduler {
         self.enabled
     }
 
-    /// Drops core- and blocked-targeted arms landing at exactly `at`
-    /// (`0` disables — cycle 0 can never be armed, as arms are strictly
-    /// future). The hybrid engine's dense phase ticks **every** live core
-    /// each cycle, so an arm for the very next dense cycle is redundant;
-    /// dropping it at the source removes the wheel/drain churn that
-    /// otherwise dominates dense stepping. Machine-level (delivery) arms
-    /// still land: the engine caches which delivery cycle it armed, and
-    /// that cache must stay truthful across phase switches.
-    ///
-    /// Exactness: the caller must guarantee the skipped cycle is ticked
-    /// densely (all live cores + unconditional delivery + blocked
-    /// re-probe), which subsumes every dropped wakeup.
-    pub fn set_skip_core_arms_at(&mut self, at: Cycle) {
-        self.skip_core_arms_at = at;
-    }
-
     /// Arms `(at, target)`. `at` must be strictly in the future relative
     /// to the cycle the caller is executing — `Machine` visits every armed
     /// cycle, which keeps each bucket single-cycled.
@@ -242,9 +221,6 @@ impl Scheduler {
             return;
         }
         debug_assert!(at > now_hint, "arm must be in the future");
-        if at == self.skip_core_arms_at && target != TARGET_MACHINE {
-            return;
-        }
         if at - now_hint >= WHEEL_SIZE as u64 {
             self.overflow.push(Reverse((at, target)));
             self.pending += 1;
@@ -318,39 +294,6 @@ impl Scheduler {
     /// position whether its arm sat in a wheel bucket or spilled to the
     /// overflow heap, so results are horizon-choice-independent.
     pub fn drain_due(&mut self, now: Cycle, due_cores: &mut Vec<usize>) -> Due {
-        let due = self.drain_raw(now);
-        for w in 0..self.due_bits.len() {
-            let mut word = self.due_bits[w];
-            if word == 0 {
-                continue;
-            }
-            self.due_bits[w] = 0;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                due_cores.push(w * 64 + bit);
-            }
-        }
-        due
-    }
-
-    /// Like [`Scheduler::drain_due`], but only *counts* the distinct due
-    /// cores instead of materializing their id list. The hybrid engine's
-    /// dense phase ticks every live core regardless and needs the count
-    /// only as its armed-density signal.
-    pub fn drain_due_counted(&mut self, now: Cycle) -> (Due, u64) {
-        let due = self.drain_raw(now);
-        let mut count = 0u64;
-        for w in &mut self.due_bits {
-            count += u64::from(w.count_ones());
-            *w = 0;
-        }
-        (due, count)
-    }
-
-    /// Empties the bucket and overflow entries due at `now` into the
-    /// due-core bitmap, returning the machine-level flags.
-    fn drain_raw(&mut self, now: Cycle) -> Due {
         let mut due = Due::default();
         let idx = (now & WHEEL_MASK) as usize;
         let (word, bit) = (idx / 64, 1u64 << (idx % 64));
@@ -393,6 +336,18 @@ impl Scheduler {
                 TARGET_MACHINE => due.machine = true,
                 TARGET_BLOCKED => due.wake_blocked = true,
                 id => self.mark_due(id),
+            }
+        }
+        for w in 0..self.due_bits.len() {
+            let mut word = self.due_bits[w];
+            if word == 0 {
+                continue;
+            }
+            self.due_bits[w] = 0;
+            while word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                due_cores.push(w * 64 + bit);
             }
         }
         due
@@ -542,32 +497,6 @@ mod tests {
         s.drain_due(7, &mut due);
         assert_eq!(due, (0..256).collect::<Vec<_>>());
         assert_eq!(s.pending(), 0);
-    }
-
-    #[test]
-    fn counted_drain_matches_the_list_drain() {
-        let mk = || {
-            let mut s = Scheduler::new(true);
-            s.wake_core(0, 9, 4, EventKind::CoreReady);
-            s.wake_core(0, 9, 1, EventKind::Advance);
-            s.wake_core(0, 9, 4, EventKind::WbCompletion);
-            s.wake_machine(0, 9, EventKind::NetDelivery);
-            s.wake_core(0, 600, 2, EventKind::CoreReady); // overflow, later
-            s
-        };
-        let mut listed = mk();
-        let mut counted = mk();
-        let mut due = Vec::new();
-        let fa = listed.drain_due(9, &mut due);
-        let (fb, n) = counted.drain_due_counted(9);
-        assert_eq!(due, vec![1, 4]);
-        assert_eq!(n, due.len() as u64);
-        assert_eq!(fa, fb);
-        assert_eq!(listed.pending(), counted.pending());
-        // The counted drain leaves the bitmap clean for the next cycle.
-        due.clear();
-        counted.drain_due(600, &mut due);
-        assert_eq!(due, vec![2]);
     }
 
     #[test]

@@ -47,14 +47,10 @@ pub struct EngineStats {
     pub acting_ticks: u64,
     /// Events armed in the scheduler (0 for lockstep).
     pub events_armed: u64,
-    /// Hybrid engine only: dense↔sparse mode switches performed.
-    pub mode_switches: u64,
-    /// Hybrid engine only: visited cycles executed in dense
-    /// (lockstep-style) stepping.
+    /// Always 0: neither engine has a dense stepping phase. Kept only
+    /// because the repo benchmark reports it as
+    /// `tso_sim.engine.dense_cycles`.
     pub dense_cycles: u64,
-    /// Hybrid engine only: visited cycles executed in sparse
-    /// (event-jump) stepping.
-    pub sparse_cycles: u64,
 }
 
 impl RmwCostBreakdown {

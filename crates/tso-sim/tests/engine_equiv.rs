@@ -1,11 +1,12 @@
-//! Engine-equivalence suite: the event-driven cycle-skipping engine and
-//! the adaptive hybrid engine must be **observational no-ops** relative to
-//! the lockstep reference — only faster.
+//! Engine-equivalence suite: the event-driven cycle-skipping engine must
+//! be an **observational no-op** relative to the lockstep reference —
+//! only faster.
 //!
-//! Every shape is run under all three [`StepMode`]s and the full
-//! `SimResult` is compared **cycle-exactly**: aggregate and per-core
-//! `SimStats` (including `cycles`, stall and retry counters), read values,
-//! final memory, interconnect traffic, and the deadlock flag. Coverage:
+//! Every shape is run under both [`StepMode`]s and the full `SimResult`
+//! is compared **cycle-exactly** with [`SimResult::first_difference`]:
+//! aggregate and per-core `SimStats` (including `cycles`, stall and retry
+//! counters), read values, final memory, interconnect traffic, and the
+//! deadlock and truncation flags. Coverage:
 //!
 //! * the hand-written classic + paper litmus corpus × all three RMW
 //!   atomicities (lock contention, broadcasts, reverted drains);
@@ -13,8 +14,8 @@
 //!   work stealing) on paper-latency configurations, including a
 //!   32-core Table 2 machine and a scaled 128-core machine;
 //! * the Fig. 10 write-deadlock (watchdog equivalence in event time);
-//! * adversarial density traces that force hybrid mode switches right at
-//!   the `last_progress + threshold + 1` watchdog edge and the
+//! * dense spin phases that end in a wedge right at the
+//!   `last_progress + threshold + 1` watchdog edge and at the
 //!   `max_cycles` truncation boundary;
 //! * random traces (proptest) over all atomicities;
 //! * scheduler-level properties: time never moves backwards, never skips
@@ -28,27 +29,17 @@ use tso_sim::{
     lower_with_line_size, Machine, Op, Scheduler, SimConfig, SimResult, Src, StepMode, Trace,
 };
 
-/// Runs the same configuration + traces under all three engines and
-/// asserts cycle-identical results; returns the event-driven result.
+/// Runs the same configuration + traces under both engines and asserts
+/// cycle-identical results; returns the event-driven result.
 fn assert_engines_agree(mut cfg: SimConfig, traces: Vec<Trace>, label: &str) -> SimResult {
     cfg.step_mode = StepMode::Lockstep;
     let ls = Machine::new(cfg, traces.clone()).run();
-    let mut ev = None;
-    for mode in [StepMode::EventDriven, StepMode::Hybrid] {
-        cfg.step_mode = mode;
-        let r = Machine::new(cfg, traces.clone()).run();
-        assert_eq!(r.stats, ls.stats, "{label}/{mode:?}: aggregate stats");
-        assert_eq!(r.per_core, ls.per_core, "{label}/{mode:?}: per-core stats");
-        assert_eq!(r.reads, ls.reads, "{label}/{mode:?}: read values");
-        assert_eq!(r.memory, ls.memory, "{label}/{mode:?}: final memory");
-        assert_eq!(r.net, ls.net, "{label}/{mode:?}: interconnect traffic");
-        assert_eq!(r.deadlocked, ls.deadlocked, "{label}/{mode:?}: deadlock");
-        assert_eq!(r.truncated, ls.truncated, "{label}/{mode:?}: truncation");
-        if mode == StepMode::EventDriven {
-            ev = Some(r);
-        }
+    cfg.step_mode = StepMode::EventDriven;
+    let ev = Machine::new(cfg, traces).run();
+    if let Some(field) = ev.first_difference(&ls) {
+        panic!("{label}: event-driven and lockstep differ in `{field}`");
     }
-    ev.expect("event-driven run always executes")
+    ev
 }
 
 #[test]
@@ -109,7 +100,7 @@ fn paper_table2_machine_is_engine_equivalent() {
 #[test]
 fn scaled_128_core_machine_is_engine_equivalent() {
     // The 128-core scaled machine (`--machine 128`): Table 2 latencies on
-    // a 12×11 mesh with router-only nodes past the core count. All three
+    // a 12×11 mesh with router-only nodes past the core count. Both
     // engines must agree on a workload that actually spreads over the
     // wide machine.
     let traces = workloads::benchmark(workloads::Benchmark::Genome, 128, 60, 11);
@@ -120,13 +111,11 @@ fn scaled_128_core_machine_is_engine_equivalent() {
 }
 
 #[test]
-fn hybrid_switches_at_the_watchdog_edge_are_cycle_exact() {
-    // Adversarial density: a dense spin phase long enough to push the
-    // hybrid engine into dense mode, then a quiescent wedge. The watchdog
-    // must fire at exactly `last_progress + threshold + 1` no matter
-    // which mode the engine is in when the window turns sparse — sweep
-    // the threshold so the edge lands at different offsets inside the
-    // hybrid policy window.
+fn wedge_after_dense_spin_at_the_watchdog_edge_is_cycle_exact() {
+    // A dense spin phase (both cores acting nearly every cycle), then a
+    // quiescent wedge. The watchdog must fire at exactly
+    // `last_progress + threshold + 1` in both engines — sweep the
+    // threshold so the edge lands at different offsets after the spin.
     for threshold in [900, 1_000, 1_063, 1_089] {
         let mut cfg = SimConfig::small(2);
         cfg.deadlock_threshold = threshold;
@@ -149,10 +138,10 @@ fn hybrid_switches_at_the_watchdog_edge_are_cycle_exact() {
 }
 
 #[test]
-fn hybrid_truncation_at_the_cycle_ceiling_is_cycle_exact() {
+fn truncation_at_the_cycle_ceiling_is_cycle_exact() {
     // `max_cycles` lands inside (and right at the edge of) the watchdog
     // interval of a wedged dense phase: `stop = fire.min(max_cycles)`
-    // must resolve identically in every engine, flipping between
+    // must resolve identically in both engines, flipping between
     // truncated and deadlocked as the ceiling crosses the fire cycle.
     for max_cycles in [500, 1_000, 1_490, 1_505, 2_000] {
         let mut cfg = SimConfig::small(2);

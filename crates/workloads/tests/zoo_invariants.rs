@@ -17,16 +17,9 @@ fn run(mut cfg: SimConfig, mode: StepMode, k: ZooKernel, n: usize, iters: u64) -
 }
 
 fn assert_equal(k: ZooKernel, a: &SimResult, b: &SimResult, label: &str) {
-    assert_eq!(a.stats, b.stats, "{k} {label}: aggregate stats diverge");
-    assert_eq!(
-        a.per_core, b.per_core,
-        "{k} {label}: per-core stats diverge"
-    );
-    assert_eq!(a.reads, b.reads, "{k} {label}: read values diverge");
-    assert_eq!(a.memory, b.memory, "{k} {label}: final memory diverges");
-    assert_eq!(a.net, b.net, "{k} {label}: net traffic diverges");
-    assert_eq!(a.deadlocked, b.deadlocked, "{k} {label}");
-    assert_eq!(a.truncated, b.truncated, "{k} {label}");
+    if let Some(field) = a.first_difference(b) {
+        panic!("{k} {label}: engines diverge in `{field}`");
+    }
 }
 
 /// The full small-machine matrix: 12 kernels × 3 atomicities × 2 engines,
