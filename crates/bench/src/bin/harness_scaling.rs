@@ -13,15 +13,9 @@
 //! $ cargo run --release -p bench --bin harness_scaling [-- --smoke] [--out PATH]
 //! ```
 
+use harness::jsonx::Value;
 use harness::{full_corpus, run_batch, smoke_filter, SMOKE_CAP};
 use litmus::Litmus;
-use std::fmt::Write as _;
-
-struct Row {
-    jobs: usize,
-    elapsed_ms: f64,
-    tests_per_sec: f64,
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -50,9 +44,9 @@ fn main() {
         .filter(|&j| j == 1 || j <= 2 * hw)
         .collect();
 
+    let mode = if smoke { "smoke" } else { "full" };
     println!(
-        "harness_scaling ({}): {} tests, host parallelism {hw}",
-        if smoke { "smoke" } else { "full" },
+        "harness_scaling ({mode}): {} tests, host parallelism {hw}",
         tests.len()
     );
     println!(
@@ -66,7 +60,8 @@ fn main() {
     // cache position.
     let _ = run_batch(&tests, 1);
     let cache_after_warmup = tso_model::cache::counters();
-    let mut rows: Vec<Row> = Vec::new();
+    let mut base_ms = None;
+    let mut rows: Vec<Value> = Vec::new();
     for &jobs in &sweep {
         let (outcomes, elapsed) = run_batch(&tests, jobs);
         if let Some(bad) = outcomes.iter().find(|o| !o.passed()) {
@@ -74,63 +69,36 @@ fn main() {
             std::process::exit(1);
         }
         let elapsed_ms = elapsed.as_secs_f64() * 1e3;
-        let row = Row {
-            jobs,
-            elapsed_ms,
-            tests_per_sec: tests.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-        };
-        let speedup = rows.first().map_or(1.0, |r0| r0.elapsed_ms / elapsed_ms);
+        let tests_per_sec = tests.len() as f64 / elapsed.as_secs_f64().max(1e-9);
+        let base = *base_ms.get_or_insert(elapsed_ms);
         println!(
-            "{:<6} {:>12.1} {:>12.0} {:>8.2}x",
-            row.jobs, row.elapsed_ms, row.tests_per_sec, speedup
+            "{jobs:<6} {elapsed_ms:>12.1} {tests_per_sec:>12.0} {:>8.2}x",
+            base / elapsed_ms
         );
-        rows.push(row);
+        rows.push(
+            Value::obj()
+                .with("jobs", jobs)
+                .with("elapsed_ms", elapsed_ms)
+                .with("tests_per_sec", tests_per_sec)
+                .with("speedup_vs_jobs1", base / elapsed_ms.max(1e-6)),
+        );
     }
 
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"harness_scaling\",");
-    let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(
-        s,
-        "  \"mode\": \"{}\",",
-        if smoke { "smoke" } else { "full" }
-    );
-    let _ = writeln!(s, "  \"corpus_total\": {corpus_total},");
-    let _ = writeln!(s, "  \"selected\": {},", tests.len());
-    let _ = writeln!(s, "  \"host_parallelism\": {hw},");
-    let _ = writeln!(s, "  \"disagreements\": 0,");
-    // Memoization accounting at the end of the warm-up pass: `queries`
-    // counts every outcome-set lookup (corpus generation + one full
-    // differential pass), `invocations` the model searches that actually
-    // ran — the gap is the symmetry + memoization saving.
-    let _ = writeln!(s, "  \"model_cache\": {{");
-    let _ = writeln!(s, "    \"queries\": {},", cache_after_warmup.queries);
-    let _ = writeln!(
-        s,
-        "    \"invocations\": {},",
-        cache_after_warmup.invocations
-    );
-    let _ = writeln!(s, "    \"hits\": {},", cache_after_warmup.hits());
-    let _ = writeln!(s, "    \"store_hits\": {},", cache_after_warmup.store_hits);
-    let _ = writeln!(s, "    \"entries\": {}", cache_after_warmup.entries);
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"sweep\": [");
-    let base = rows.first().map_or(0.0, |r| r.elapsed_ms);
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"jobs\": {}, \"elapsed_ms\": {:.3}, \"tests_per_sec\": {:.1}, \
-             \"speedup_vs_jobs1\": {:.3}}}{comma}",
-            r.jobs,
-            r.elapsed_ms,
-            r.tests_per_sec,
-            base / r.elapsed_ms.max(1e-6)
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    std::fs::write(&out_path, &s).expect("write BENCH_harness.json");
+    let json = Value::obj()
+        .with("experiment", "harness_scaling")
+        .with("paper", harness::report::PAPER)
+        .with("mode", mode)
+        .with("corpus_total", corpus_total)
+        .with("selected", tests.len())
+        .with("host_parallelism", hw)
+        .with("disagreements", 0u64)
+        // Memoization accounting at the end of the warm-up pass: `queries`
+        // counts every outcome-set lookup (corpus generation + one full
+        // differential pass), `invocations` the model searches that
+        // actually ran — the gap is the symmetry + memoization saving.
+        .with("model_cache", &cache_after_warmup)
+        .with("sweep", Value::Arr(rows))
+        .to_json();
+    std::fs::write(&out_path, json).expect("write BENCH_harness.json");
     println!("\nwrote {out_path}");
 }

@@ -40,9 +40,9 @@
 //! current directory).
 
 use bench::model_shapes::{dekker_rmw, dekker_variant, dekker_variant_candidates};
+use harness::jsonx::Value;
 use rmw_types::Atomicity;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::time::Instant;
 use tso_model::{
@@ -213,74 +213,40 @@ fn measure_prefix_family(threads: usize, rounds: usize) -> PrefixRow {
     }
 }
 
-fn json_num(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.6}")
-    }
-}
-
 fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism: usize) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"model_scaling\",");
-    let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
-    let _ = writeln!(s, "  \"shapes\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(s, "      \"threads\": {},", r.threads);
-        let _ = writeln!(s, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(s, "      \"events\": {},", r.events);
-        let _ = writeln!(s, "      \"candidates\": {},", json_num(r.candidates));
-        let _ = writeln!(s, "      \"streaming_ms\": {},", json_num(r.streaming_ms));
-        let _ = writeln!(s, "      \"nodes\": {},", r.stats.nodes);
-        let _ = writeln!(s, "      \"pruned\": {},", r.stats.pruned);
-        let _ = writeln!(s, "      \"complete\": {},", r.stats.complete);
-        let _ = writeln!(s, "      \"valid\": {},", r.stats.valid);
-        let _ = writeln!(s, "      \"outcomes\": {},", r.outcomes);
-        let _ = writeln!(s, "      \"parallel\": [");
-        for (j, p) in r.parallel.iter().enumerate() {
-            let comma = if j + 1 < r.parallel.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "        {{\"workers\": {}, \"ms\": {}, \"speedup_vs_sequential\": {}, \
-                 \"split\": {}, \"outcomes_match\": {}}}{comma}",
-                p.workers,
-                json_num(p.ms),
-                json_num(r.par_speedup(p)),
-                p.split,
-                p.outcomes_match
-            );
-        }
-        let _ = writeln!(s, "      ],");
-        match r.legacy_ms {
-            Some(ms) => {
-                let _ = writeln!(s, "      \"legacy_ms\": {},", json_num(ms));
-                let _ = writeln!(
-                    s,
-                    "      \"speedup\": {},",
-                    json_num(r.speedup().unwrap_or(0.0))
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"outcomes_match\": {}",
-                    r.outcomes_match.unwrap_or(false)
-                );
-            }
-            None => {
-                let _ = writeln!(s, "      \"legacy_ms\": null,");
-                let _ = writeln!(s, "      \"speedup\": null,");
-                let _ = writeln!(s, "      \"outcomes_match\": null");
-            }
-        }
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
+    let shapes: Value = rows
+        .iter()
+        .map(|r| {
+            let parallel: Value = r
+                .parallel
+                .iter()
+                .map(|p| {
+                    Value::obj()
+                        .with("workers", p.workers)
+                        .with("ms", p.ms)
+                        .with("speedup_vs_sequential", r.par_speedup(p))
+                        .with("split", p.split)
+                        .with("outcomes_match", p.outcomes_match)
+                })
+                .collect();
+            Value::obj()
+                .with("name", r.name.as_str())
+                .with("threads", r.threads)
+                .with("rounds", r.rounds)
+                .with("events", r.events)
+                .with("candidates", r.candidates)
+                .with("streaming_ms", r.streaming_ms)
+                .with("nodes", r.stats.nodes)
+                .with("pruned", r.stats.pruned)
+                .with("complete", r.stats.complete)
+                .with("valid", r.stats.valid)
+                .with("outcomes", r.outcomes)
+                .with("parallel", parallel)
+                .with("legacy_ms", r.legacy_ms)
+                .with("speedup", r.speedup())
+                .with("outcomes_match", r.outcomes_match)
+        })
+        .collect();
     // The headline aggregate covers the *non-trivial* shared shapes: below
     // ~1000 candidates both engines finish in microseconds and the ratio
     // measures constant overhead, not scaling. The tiny rows stay in
@@ -299,20 +265,6 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism
         let log_sum: f64 = shared.iter().filter_map(|r| r.speedup()).map(f64::ln).sum();
         (log_sum / shared.len() as f64).exp()
     };
-    let _ = writeln!(s, "  \"shared\": {{");
-    let _ = writeln!(
-        s,
-        "    \"min_candidates\": {},",
-        json_num(SHARED_MIN_CANDIDATES)
-    );
-    let _ = writeln!(s, "    \"count\": {},", shared.len());
-    let _ = writeln!(
-        s,
-        "    \"min_speedup\": {},",
-        json_num(if min.is_finite() { min } else { 0.0 })
-    );
-    let _ = writeln!(s, "    \"geomean_speedup\": {}", json_num(geomean));
-    let _ = writeln!(s, "  }},");
     // Parallel headline: best parallel speedup over the non-trivial
     // shapes (meaningful only when host_parallelism > 1 — CI gates its
     // floor on that; equality is asserted unconditionally above).
@@ -325,10 +277,6 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism
     let all_match = rows
         .iter()
         .all(|r| r.parallel.iter().all(|p| p.outcomes_match));
-    let _ = writeln!(s, "  \"parallel\": {{");
-    let _ = writeln!(s, "    \"all_outcomes_match\": {all_match},");
-    let _ = writeln!(s, "    \"best_speedup\": {}", json_num(best));
-    let _ = writeln!(s, "  }},");
     // The adaptive never-slower gate: on EVERY shape (including the tiny
     // calibration rows) the adaptive engine must stay within the relative
     // floor of sequential, modulo an absolute noise allowance — the whole
@@ -343,60 +291,68 @@ fn to_json(rows: &[Row], prefix_rows: &[PrefixRow], mode: &str, host_parallelism
             .iter()
             .all(|p| p.ms <= r.streaming_ms / ADAPTIVE_FLOOR + ADAPTIVE_NOISE_MS)
     });
-    let _ = writeln!(s, "  \"adaptive\": {{");
-    let _ = writeln!(s, "    \"floor\": {},", json_num(ADAPTIVE_FLOOR));
-    let _ = writeln!(s, "    \"noise_ms\": {},", json_num(ADAPTIVE_NOISE_MS));
-    let _ = writeln!(
-        s,
-        "    \"min_speedup\": {},",
-        json_num(if min_par_speedup.is_finite() {
-            min_par_speedup
-        } else {
-            0.0
-        })
-    );
-    let _ = writeln!(s, "    \"never_slower\": {never_slower}");
-    let _ = writeln!(s, "  }},");
     // Prefix-certificate sharing over the dekker_rmw family: three
     // atomicity rewrites per shape, one search + two replays each when
     // the certificate tier works.
-    let _ = writeln!(s, "  \"prefix_sharing\": {{");
-    let _ = writeln!(s, "    \"rows\": [");
-    for (i, r) in prefix_rows.iter().enumerate() {
-        let comma = if i + 1 < prefix_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "      {{\"name\": \"{}\", \"threads\": {}, \"rounds\": {}, \
-             \"searched_nodes\": {}, \"attributed_nodes\": {}, \"prefix_hits\": {}, \
-             \"reduction\": {}, \"ms\": {}, \"outcomes_match\": {}}}{comma}",
-            r.name,
-            r.threads,
-            r.rounds,
-            r.searched_nodes,
-            r.attributed_nodes,
-            r.prefix_hits,
-            json_num(r.reduction()),
-            json_num(r.ms),
-            r.outcomes_match
-        );
-    }
-    let _ = writeln!(s, "    ],");
+    let prefix: Value = prefix_rows
+        .iter()
+        .map(|r| {
+            Value::obj()
+                .with("name", r.name.as_str())
+                .with("threads", r.threads)
+                .with("rounds", r.rounds)
+                .with("searched_nodes", r.searched_nodes)
+                .with("attributed_nodes", r.attributed_nodes)
+                .with("prefix_hits", r.prefix_hits)
+                .with("reduction", r.reduction())
+                .with("ms", r.ms)
+                .with("outcomes_match", r.outcomes_match)
+        })
+        .collect();
     let searched: u64 = prefix_rows.iter().map(|r| r.searched_nodes).sum();
     let attributed: u64 = prefix_rows.iter().map(|r| r.attributed_nodes).sum();
     let hits: u64 = prefix_rows.iter().map(|r| r.prefix_hits).sum();
     let prefix_match = prefix_rows.iter().all(|r| r.outcomes_match);
-    let _ = writeln!(s, "    \"total_searched_nodes\": {searched},");
-    let _ = writeln!(s, "    \"total_attributed_nodes\": {attributed},");
-    let _ = writeln!(s, "    \"prefix_hits\": {hits},");
-    let _ = writeln!(
-        s,
-        "    \"reduction\": {},",
-        json_num(attributed as f64 / searched.max(1) as f64)
-    );
-    let _ = writeln!(s, "    \"all_outcomes_match\": {prefix_match}");
-    let _ = writeln!(s, "  }}");
-    let _ = writeln!(s, "}}");
-    s
+    let finite_or_zero = |v: f64| if v.is_finite() { v } else { 0.0 };
+    Value::obj()
+        .with("experiment", "model_scaling")
+        .with("paper", harness::report::PAPER)
+        .with("mode", mode)
+        .with("host_parallelism", host_parallelism)
+        .with("shapes", shapes)
+        .with(
+            "shared",
+            Value::obj()
+                .with("min_candidates", SHARED_MIN_CANDIDATES)
+                .with("count", shared.len())
+                .with("min_speedup", finite_or_zero(min))
+                .with("geomean_speedup", geomean),
+        )
+        .with(
+            "parallel",
+            Value::obj()
+                .with("all_outcomes_match", all_match)
+                .with("best_speedup", best),
+        )
+        .with(
+            "adaptive",
+            Value::obj()
+                .with("floor", ADAPTIVE_FLOOR)
+                .with("noise_ms", ADAPTIVE_NOISE_MS)
+                .with("min_speedup", finite_or_zero(min_par_speedup))
+                .with("never_slower", never_slower),
+        )
+        .with(
+            "prefix_sharing",
+            Value::obj()
+                .with("rows", prefix)
+                .with("total_searched_nodes", searched)
+                .with("total_attributed_nodes", attributed)
+                .with("prefix_hits", hits)
+                .with("reduction", attributed as f64 / searched.max(1) as f64)
+                .with("all_outcomes_match", prefix_match),
+        )
+        .to_json()
 }
 
 fn main() {
@@ -443,11 +399,10 @@ fn main() {
     };
 
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mode = if smoke { "smoke" } else { "full" };
     println!(
-        "model_scaling ({}): streaming pruned search vs legacy enumeration, \
-         parallel workers {:?} (host parallelism {host_parallelism})",
-        if smoke { "smoke" } else { "full" },
-        par_workers
+        "model_scaling ({mode}): streaming pruned search vs legacy enumeration, \
+         parallel workers {par_workers:?} (host parallelism {host_parallelism})",
     );
     // Warm the adaptive engine's once-per-process node-rate calibration
     // outside the timed region, so the first parallel row measures the
@@ -535,12 +490,7 @@ fn main() {
         prefix_rows.push(row);
     }
 
-    let json = to_json(
-        &rows,
-        &prefix_rows,
-        if smoke { "smoke" } else { "full" },
-        host_parallelism,
-    );
+    let json = to_json(&rows, &prefix_rows, mode, host_parallelism);
     std::fs::write(&out_path, &json).expect("write BENCH_model.json");
     println!("\nwrote {out_path}");
 }

@@ -32,8 +32,8 @@
 //! ```
 
 use bench::{config_for, SEED};
+use harness::jsonx::Value;
 use rmw_types::Atomicity;
-use std::fmt::Write as _;
 use std::time::Instant;
 use tso_sim::{lower_with_line_size, Machine, SimConfig, SimResult, StepMode, Trace};
 use workloads::Benchmark;
@@ -213,28 +213,21 @@ fn measure(shape: &Shape) -> Row {
 }
 
 fn to_json(rows: &[Row], mode: &str, host_parallelism: usize) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"sim_scaling\",");
-    let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"host_parallelism\": {host_parallelism},");
-    let _ = writeln!(s, "  \"shapes\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(s, "      \"cores\": {},", r.cores);
-        let _ = writeln!(s, "      \"machine_runs\": {},", r.runs);
-        let _ = writeln!(s, "      \"simulated_cycles\": {},", r.cycles);
-        let _ = writeln!(s, "      \"event_ms\": {:.3},", r.event_ms);
-        let _ = writeln!(s, "      \"lockstep_ms\": {:.3},", r.lockstep_ms);
-        let _ = writeln!(s, "      \"speedup\": {:.3},", r.speedup());
-        let _ = writeln!(s, "      \"paper_scale\": {},", r.paper_scale);
-        let _ = writeln!(s, "      \"results_match\": {}", r.results_match);
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
+    let shapes: Value = rows
+        .iter()
+        .map(|r| {
+            Value::obj()
+                .with("name", r.name.as_str())
+                .with("cores", r.cores)
+                .with("machine_runs", r.runs)
+                .with("simulated_cycles", r.cycles)
+                .with("event_ms", r.event_ms)
+                .with("lockstep_ms", r.lockstep_ms)
+                .with("speedup", r.speedup())
+                .with("paper_scale", r.paper_scale)
+                .with("results_match", r.results_match)
+        })
+        .collect();
     // Headline: the best paper-scale (32-core) shape — the corpus-on-
     // Table-2 configuration the scheduler was built for. The kernel rows
     // stay recorded as the dense lower bound.
@@ -253,18 +246,21 @@ fn to_json(rows: &[Row], mode: &str, host_parallelism: usize) -> String {
         let log_sum: f64 = headline.iter().map(|r| r.speedup().ln()).sum();
         (log_sum / headline.len() as f64).exp()
     };
-    let _ = writeln!(s, "  \"headline\": {{");
-    let _ = writeln!(s, "    \"count\": {},", headline.len());
-    let _ = writeln!(
-        s,
-        "    \"paper_scale\": {},",
-        headline.iter().all(|r| r.paper_scale)
-    );
-    let _ = writeln!(s, "    \"max_speedup\": {max:.3},");
-    let _ = writeln!(s, "    \"geomean_speedup\": {geomean:.3}");
-    let _ = writeln!(s, "  }}");
-    let _ = writeln!(s, "}}");
-    s
+    Value::obj()
+        .with("experiment", "sim_scaling")
+        .with("paper", harness::report::PAPER)
+        .with("mode", mode)
+        .with("host_parallelism", host_parallelism)
+        .with("shapes", shapes)
+        .with(
+            "headline",
+            Value::obj()
+                .with("count", headline.len())
+                .with("paper_scale", headline.iter().all(|r| r.paper_scale))
+                .with("max_speedup", max)
+                .with("geomean_speedup", geomean),
+        )
+        .to_json()
 }
 
 fn usage() -> ! {
@@ -339,9 +335,9 @@ fn main() {
     };
 
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mode = if smoke { "smoke" } else { "full" };
     println!(
-        "sim_scaling ({}): event-driven vs lockstep reference (host parallelism {host_parallelism})",
-        if smoke { "smoke" } else { "full" }
+        "sim_scaling ({mode}): event-driven vs lockstep reference (host parallelism {host_parallelism})"
     );
     println!(
         "{:<42} {:>12} {:>9} {:>12} {:>7}",
@@ -365,11 +361,7 @@ fn main() {
         rows.push(row);
     }
 
-    let json = to_json(
-        &rows,
-        if smoke { "smoke" } else { "full" },
-        host_parallelism,
-    );
+    let json = to_json(&rows, mode, host_parallelism);
     std::fs::write(&out_path, &json).expect("write BENCH_sim.json");
     println!("\nwrote {out_path}");
 }

@@ -28,8 +28,8 @@
 //! ```
 
 use bench::config_for;
+use harness::jsonx::Value;
 use rmw_types::Atomicity;
-use std::fmt::Write as _;
 use tso_sim::{Machine, SimResult, SimStats, StepMode};
 use workloads::zoo::ZooKernel;
 
@@ -93,65 +93,58 @@ fn to_json(
     n: usize,
     iters: u64,
 ) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"workload_zoo\",");
-    let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(s, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(s, "  \"machine\": {{ \"cores\": {n}, \"table2\": true }},");
-    let _ = writeln!(s, "  \"iters_per_core\": {iters},");
-    let _ = writeln!(s, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let st = &r.stats;
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"kernel\": \"{}\",", r.kernel);
-        let _ = writeln!(s, "      \"atomicity\": \"{}\",", r.atomicity);
-        let _ = writeln!(s, "      \"cycles\": {},", st.cycles);
-        let _ = writeln!(s, "      \"rmw_count\": {},", st.rmw_count);
-        let _ = writeln!(s, "      \"avg_rmw_cost\": {:.3},", st.avg_rmw_cost());
-        let _ = writeln!(
-            s,
-            "      \"rmw_overhead_fraction\": {:.5},",
-            st.rmw_overhead_fraction()
-        );
-        let _ = writeln!(s, "      \"spin_retries\": {},", st.spin_retries);
-        let _ = writeln!(s, "      \"spin_cycles\": {},", st.spin_cycles);
-        let _ = writeln!(s, "      \"futex_waits\": {},", st.futex_waits);
-        let _ = writeln!(s, "      \"futex_immediate\": {},", st.futex_immediate);
-        let _ = writeln!(s, "      \"futex_wakes\": {},", st.futex_wakes);
-        let _ = writeln!(s, "      \"futex_wakeups\": {},", st.futex_wakeups);
-        let _ = writeln!(s, "      \"blocked_cycles\": {},", st.blocked_cycles);
-        let _ = writeln!(s, "      \"handoffs\": {},", st.handoffs);
-        let _ = writeln!(
-            s,
-            "      \"avg_wake_to_acquire\": {:.3},",
-            st.avg_wake_to_acquire()
-        );
-        let _ = writeln!(s, "      \"fairness_min_max_ops\": {:.4},", r.fairness);
-        let _ = writeln!(s, "      \"invariant_ok\": {},", r.invariant_ok);
-        let _ = writeln!(s, "      \"results_match\": {}", r.results_match);
-        let _ = writeln!(s, "    }}{comma}");
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"kernels\": [");
-    for (i, (k, outcome_invariant)) in invariant.iter().enumerate() {
-        let comma = if i + 1 < invariant.len() { "," } else { "" };
-        let by_atomicity: Vec<String> = rows
-            .iter()
-            .filter(|r| r.kernel == *k)
-            .map(|r| format!("\"{}\": {}", r.atomicity, r.stats.cycles))
-            .collect();
-        let _ = writeln!(
-            s,
-            "    {{ \"kernel\": \"{k}\", \"outcome_invariant\": {outcome_invariant}, \
-             \"cycles_by_atomicity\": {{ {} }} }}{comma}",
-            by_atomicity.join(", ")
-        );
-    }
-    let _ = writeln!(s, "  ]");
-    let _ = writeln!(s, "}}");
-    s
+    let cells: Value = rows
+        .iter()
+        .map(|r| {
+            let st = &r.stats;
+            Value::obj()
+                .with("kernel", r.kernel.name())
+                .with("atomicity", r.atomicity.to_string())
+                .with("cycles", st.cycles)
+                .with("rmw_count", st.rmw_count)
+                .with("avg_rmw_cost", st.avg_rmw_cost())
+                .with("rmw_overhead_fraction", st.rmw_overhead_fraction())
+                .with("spin_retries", st.spin_retries)
+                .with("spin_cycles", st.spin_cycles)
+                .with("futex_waits", st.futex_waits)
+                .with("futex_immediate", st.futex_immediate)
+                .with("futex_wakes", st.futex_wakes)
+                .with("futex_wakeups", st.futex_wakeups)
+                .with("blocked_cycles", st.blocked_cycles)
+                .with("handoffs", st.handoffs)
+                .with("avg_wake_to_acquire", st.avg_wake_to_acquire())
+                .with("fairness_min_max_ops", r.fairness)
+                .with("invariant_ok", r.invariant_ok)
+                .with("results_match", r.results_match)
+        })
+        .collect();
+    let kernels: Value = invariant
+        .iter()
+        .map(|&(k, outcome_invariant)| {
+            let by_atomicity = rows
+                .iter()
+                .filter(|r| r.kernel == k)
+                .fold(Value::obj(), |o, r| {
+                    o.with(&r.atomicity.to_string(), r.stats.cycles)
+                });
+            Value::obj()
+                .with("kernel", k.name())
+                .with("outcome_invariant", outcome_invariant)
+                .with("cycles_by_atomicity", by_atomicity)
+        })
+        .collect();
+    Value::obj()
+        .with("experiment", "workload_zoo")
+        .with("paper", harness::report::PAPER)
+        .with("mode", mode)
+        .with(
+            "machine",
+            Value::obj().with("cores", n).with("table2", true),
+        )
+        .with("iters_per_core", iters)
+        .with("rows", cells)
+        .with("kernels", kernels)
+        .to_json()
 }
 
 fn usage() -> ! {
@@ -185,9 +178,9 @@ fn main() {
     let n = 32;
     let iters = if smoke { 3 } else { 12 };
 
+    let mode = if smoke { "smoke" } else { "full" };
     println!(
-        "workload_zoo ({}): {} kernels x 3 atomicities on the {n}-core Table 2 machine",
-        if smoke { "smoke" } else { "full" },
+        "workload_zoo ({mode}): {} kernels x 3 atomicities on the {n}-core Table 2 machine",
         ZooKernel::ALL.len()
     );
     println!(
@@ -231,13 +224,7 @@ fn main() {
         invariant.push((kernel, outcome_invariant));
     }
 
-    let json = to_json(
-        &rows,
-        &invariant,
-        if smoke { "smoke" } else { "full" },
-        n,
-        iters,
-    );
+    let json = to_json(&rows, &invariant, mode, n, iters);
     std::fs::write(&out_path, &json).expect("write BENCH_zoo.json");
     println!("\nwrote {out_path}");
     if failed {

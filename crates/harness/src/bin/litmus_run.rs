@@ -295,33 +295,7 @@ fn corpus_main(argv: Vec<String>) {
     let (outcomes, elapsed) = run_batch_on(&selected, args.jobs, args.machine);
 
     let store_counters = store.as_ref().map(|(shared, path, open_error)| {
-        let path = path.display().to_string();
-        match shared {
-            Some(shared) => StoreCounters {
-                path,
-                open_error: open_error.clone(),
-                loads: shared.loads(),
-                cert_loads: shared.cert_loads(),
-                save_errors: shared.save_errors(),
-                appended: shared.with(|s| s.appended()),
-                keys: shared.with(|s| s.len() as u64),
-                certs: shared.with(|s| s.cert_count() as u64),
-                recovered_bytes: shared.with(|s| s.recovered_bytes()),
-                skipped_records: shared.with(|s| s.open_stats().skipped_records),
-            },
-            None => StoreCounters {
-                path,
-                open_error: open_error.clone(),
-                loads: 0,
-                cert_loads: 0,
-                save_errors: 0,
-                appended: 0,
-                keys: 0,
-                certs: 0,
-                recovered_bytes: 0,
-                skipped_records: 0,
-            },
-        }
+        StoreCounters::new(path, shared.as_deref(), open_error.clone())
     });
     let report = Report {
         outcomes,

@@ -35,9 +35,10 @@
 //! to an uninterrupted one. Only wall-clock and cache/store counters
 //! differ — and those are excluded from the digest.
 
-use crate::report::json_escape;
+use crate::jsonx::{self, Value};
+use crate::report::{failure, PAPER};
 use crate::store::{fsync_parent, SharedStore};
-use crate::{differential_check_on, faults, jsonx, MachineKind, TestOutcome};
+use crate::{differential_check_on, faults, MachineKind, TestOutcome};
 use litmus::gen::campaign_draft;
 use litmus::Expect;
 use rmw_types::fasthash::FastHasher;
@@ -201,7 +202,7 @@ impl CampaignState {
 }
 
 /// Verdict-store activity during a campaign run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreCounters {
     /// The per-shard store file actually used.
     pub path: String,
@@ -230,6 +231,30 @@ pub struct StoreCounters {
 }
 
 impl StoreCounters {
+    /// The counters of the store at `path`: read from `shared` when it
+    /// opened, all zero (with `open_error` set) when it did not.
+    pub fn new(path: &Path, shared: Option<&SharedStore>, open_error: Option<String>) -> Self {
+        let unopened = StoreCounters {
+            path: path.display().to_string(),
+            open_error,
+            ..StoreCounters::default()
+        };
+        match shared {
+            None => unopened,
+            Some(shared) => StoreCounters {
+                loads: shared.loads(),
+                cert_loads: shared.cert_loads(),
+                save_errors: shared.save_errors(),
+                appended: shared.with(|s| s.appended()),
+                keys: shared.with(|s| s.len() as u64),
+                certs: shared.with(|s| s.cert_count() as u64),
+                recovered_bytes: shared.with(|s| s.recovered_bytes()),
+                skipped_records: shared.with(|s| s.open_stats().skipped_records),
+                ..unopened
+            },
+        }
+    }
+
     /// True when persistence ran degraded: the store failed to open (the
     /// run continued store-less) or some saves were swallowed. Results
     /// are still correct — only reuse is lost.
@@ -279,143 +304,81 @@ impl CampaignReport {
 
     /// The shard report as JSON — the input format of `litmus_run merge`.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"experiment\": \"litmus_campaign\",");
-        let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(s, "  \"count\": {},", self.config.count);
-        let _ = writeln!(s, "  \"shard\": {},", self.config.shard);
-        let _ = writeln!(s, "  \"shards\": {},", self.config.shards);
-        let _ = writeln!(s, "  \"machine\": \"{}\",", self.config.machine);
-        let _ = writeln!(s, "  \"jobs\": {},", self.config.jobs);
-        let _ = writeln!(s, "  \"chunk\": {},", self.config.chunk);
-        let _ = writeln!(s, "  \"complete\": {},", self.complete);
-        let _ = writeln!(s, "  \"next_index\": {},", self.state.next_index);
-        let _ = writeln!(s, "  \"scanned\": {},", self.state.scanned);
-        let _ = writeln!(s, "  \"processed\": {},", self.state.processed);
-        let _ = writeln!(s, "  \"model_failures\": {},", self.state.model_failures);
-        let _ = writeln!(
-            s,
-            "  \"differential_disagreements\": {},",
-            self.state.disagreements
-        );
-        let _ = writeln!(s, "  \"deadlocks\": {},", self.state.deadlocks);
-        let _ = writeln!(s, "  \"crashed\": {},", self.state.crashed);
-        let _ = writeln!(
-            s,
-            "  \"quarantine\": [{}],",
-            quarantine_csv(&self.state.quarantine)
-        );
-        let _ = writeln!(s, "  \"passed\": {},", self.passed());
-        let _ = writeln!(s, "  \"degraded\": {},", self.degraded());
-        let _ = writeln!(s, "  \"checkpoint_errors\": {},", self.checkpoint_errors);
-        let _ = writeln!(s, "  \"faults_fired\": {},", faults::fired());
-        let _ = writeln!(s, "  \"digest\": {},", self.state.digest);
-        let _ = writeln!(s, "  \"elapsed_ms\": {:.3},", self.elapsed_ms);
-        let c = &self.model_cache;
-        let _ = writeln!(s, "  \"model_cache\": {{");
-        let _ = writeln!(s, "    \"queries\": {},", c.queries);
-        let _ = writeln!(s, "    \"invocations\": {},", c.invocations);
-        let _ = writeln!(s, "    \"hits\": {},", c.hits());
-        let _ = writeln!(s, "    \"store_hits\": {},", c.store_hits);
-        let _ = writeln!(s, "    \"entries\": {}", c.entries);
-        let _ = writeln!(s, "  }},");
-        let p = &self.prefix_cache;
-        let _ = writeln!(s, "  \"prefix_cache\": {{");
-        let _ = writeln!(s, "    \"queries\": {},", p.queries);
-        let _ = writeln!(s, "    \"hits\": {},", p.hits);
-        let _ = writeln!(s, "    \"store_hits\": {},", p.store_hits);
-        let _ = writeln!(s, "    \"stored\": {},", p.stored);
-        let _ = writeln!(s, "    \"nodes_saved\": {},", p.nodes_saved);
-        let _ = writeln!(s, "    \"replayed_leaves\": {},", p.replayed_leaves);
-        let _ = writeln!(s, "    \"entries\": {}", p.entries);
-        let _ = writeln!(s, "  }},");
-        match &self.store {
-            Some(st) => {
-                let _ = writeln!(s, "  \"store\": {{");
-                let _ = writeln!(s, "    \"path\": \"{}\",", json_escape(&st.path));
-                let _ = writeln!(s, "    \"degraded\": {},", st.degraded());
-                match &st.open_error {
-                    Some(e) => {
-                        let _ = writeln!(s, "    \"open_error\": \"{}\",", json_escape(e));
-                    }
-                    None => {
-                        let _ = writeln!(s, "    \"open_error\": null,");
-                    }
-                }
-                let _ = writeln!(s, "    \"loads\": {},", st.loads);
-                let _ = writeln!(s, "    \"cert_loads\": {},", st.cert_loads);
-                let _ = writeln!(s, "    \"appended\": {},", st.appended);
-                let _ = writeln!(s, "    \"keys\": {},", st.keys);
-                let _ = writeln!(s, "    \"certs\": {},", st.certs);
-                let _ = writeln!(s, "    \"recovered_bytes\": {},", st.recovered_bytes);
-                let _ = writeln!(s, "    \"skipped_records\": {},", st.skipped_records);
-                let _ = writeln!(s, "    \"save_errors\": {}", st.save_errors);
-                let _ = writeln!(s, "  }},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"store\": null,");
-            }
-        }
-        let _ = write!(s, "{}", failures_json(&self.state.failures, "  "));
-        let _ = writeln!(s, "}}");
-        s
+        let (cfg, st) = (&self.config, &self.state);
+        Value::obj()
+            .with("experiment", "litmus_campaign")
+            .with("paper", PAPER)
+            .with("seed", cfg.seed)
+            .with("count", cfg.count)
+            .with("shard", cfg.shard)
+            .with("shards", cfg.shards)
+            .with("machine", cfg.machine.name())
+            .with("jobs", cfg.jobs)
+            .with("chunk", cfg.chunk)
+            .with("complete", self.complete)
+            .with("next_index", st.next_index)
+            .with("scanned", st.scanned)
+            .with("processed", st.processed)
+            .with("model_failures", st.model_failures)
+            .with("differential_disagreements", st.disagreements)
+            .with("deadlocks", st.deadlocks)
+            .with("crashed", st.crashed)
+            .with(
+                "quarantine",
+                st.quarantine.iter().copied().collect::<Value>(),
+            )
+            .with("passed", self.passed())
+            .with("degraded", self.degraded())
+            .with("checkpoint_errors", self.checkpoint_errors)
+            .with("faults_fired", faults::fired())
+            .with("digest", st.digest)
+            .with("elapsed_ms", self.elapsed_ms)
+            .with("model_cache", &self.model_cache)
+            .with("prefix_cache", &self.prefix_cache)
+            .with("store", self.store.as_ref())
+            .with("failures", failures_value(&st.failures))
+            .to_json()
     }
 }
 
-fn quarantine_csv(quarantine: &BTreeSet<u64>) -> String {
-    quarantine
+fn failures_value(failures: &[(String, String)]) -> Value {
+    failures.iter().map(|(n, d)| failure(n, d)).collect()
+}
+
+/// Reads a `failures` list back (absent or malformed entries read as
+/// empty strings; the list itself is optional).
+fn parse_failures(v: &Value) -> Vec<(String, String)> {
+    let text = |f: &Value, key: &str| f.get(key).and_then(Value::as_str).unwrap_or("").to_owned();
+    v.get("failures")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
         .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-fn failures_json(failures: &[(String, String)], indent: &str) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "{indent}\"failures\": [");
-    for (i, (name, diagnosis)) in failures.iter().enumerate() {
-        let comma = if i + 1 < failures.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "{indent}  {{\"name\": \"{}\", \"diagnosis\": \"{}\"}}{comma}",
-            json_escape(name),
-            json_escape(diagnosis)
-        );
-    }
-    let _ = writeln!(s, "{indent}]");
-    s
+        .map(|f| (text(f, "name"), text(f, "diagnosis")))
+        .collect()
 }
 
 fn checkpoint_json(cfg: &CampaignConfig, state: &CampaignState) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"experiment\": \"litmus_campaign_checkpoint\",");
-    let _ = writeln!(s, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(s, "  \"count\": {},", cfg.count);
-    let _ = writeln!(s, "  \"shard\": {},", cfg.shard);
-    let _ = writeln!(s, "  \"shards\": {},", cfg.shards);
-    let _ = writeln!(s, "  \"machine\": \"{}\",", cfg.machine);
-    let _ = writeln!(s, "  \"next_index\": {},", state.next_index);
-    let _ = writeln!(s, "  \"scanned\": {},", state.scanned);
-    let _ = writeln!(s, "  \"processed\": {},", state.processed);
-    let _ = writeln!(s, "  \"model_failures\": {},", state.model_failures);
-    let _ = writeln!(s, "  \"disagreements\": {},", state.disagreements);
-    let _ = writeln!(s, "  \"deadlocks\": {},", state.deadlocks);
-    let _ = writeln!(s, "  \"crashed\": {},", state.crashed);
-    let _ = writeln!(
-        s,
-        "  \"quarantine\": [{}],",
-        quarantine_csv(&state.quarantine)
-    );
-    let _ = writeln!(s, "  \"digest\": {},", state.digest);
-    let _ = write!(s, "{}", failures_json(&state.failures, "  "));
-    let _ = writeln!(s, "}}");
-    s
+    Value::obj()
+        .with("experiment", "litmus_campaign_checkpoint")
+        .with("seed", cfg.seed)
+        .with("count", cfg.count)
+        .with("shard", cfg.shard)
+        .with("shards", cfg.shards)
+        .with("machine", cfg.machine.name())
+        .with("next_index", state.next_index)
+        .with("scanned", state.scanned)
+        .with("processed", state.processed)
+        .with("model_failures", state.model_failures)
+        .with("disagreements", state.disagreements)
+        .with("deadlocks", state.deadlocks)
+        .with("crashed", state.crashed)
+        .with(
+            "quarantine",
+            state.quarantine.iter().copied().collect::<Value>(),
+        )
+        .with("digest", state.digest)
+        .with("failures", failures_value(&state.failures))
+        .to_json()
 }
 
 /// Atomically writes the checkpoint for `state` (temp file + rename, so a
@@ -452,8 +415,8 @@ fn invalid<T>(msg: String) -> io::Result<T> {
     Err(io::Error::new(io::ErrorKind::InvalidData, msg))
 }
 
-fn field(v: &jsonx::Value, key: &str) -> io::Result<u64> {
-    match v.get(key).and_then(jsonx::Value::as_u64) {
+fn field(v: &Value, key: &str) -> io::Result<u64> {
+    match v.get(key).and_then(Value::as_u64) {
         Some(n) => Ok(n),
         None => invalid(format!("checkpoint missing numeric field {key:?}")),
     }
@@ -465,13 +428,8 @@ fn field(v: &jsonx::Value, key: &str) -> io::Result<u64> {
 /// resuming the wrong work.
 pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<CampaignState> {
     let text = std::fs::read_to_string(path)?;
-    let v = jsonx::parse(&text).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.display()),
-        )
-    })?;
-    if v.get("experiment").and_then(jsonx::Value::as_str) != Some("litmus_campaign_checkpoint") {
+    let v = jsonx::parse(&text).or_else(|e| invalid(format!("{}: {e}", path.display())))?;
+    if v.get("experiment").and_then(Value::as_str) != Some("litmus_campaign_checkpoint") {
         return invalid(format!("{}: not a campaign checkpoint", path.display()));
     }
     let expected: [(&str, u64); 4] = [
@@ -489,10 +447,7 @@ pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<Campaign
             ));
         }
     }
-    let machine = v
-        .get("machine")
-        .and_then(jsonx::Value::as_str)
-        .unwrap_or("");
+    let machine = v.get("machine").and_then(Value::as_str).unwrap_or("");
     if machine != cfg.machine.name() {
         return invalid(format!(
             "{}: checkpoint machine {machine:?} does not match campaign machine {:?}",
@@ -500,28 +455,16 @@ pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<Campaign
             cfg.machine.name()
         ));
     }
-    let mut failures = Vec::new();
-    if let Some(arr) = v.get("failures").and_then(jsonx::Value::as_arr) {
-        for f in arr {
-            let name = f.get("name").and_then(jsonx::Value::as_str).unwrap_or("");
-            let diagnosis = f
-                .get("diagnosis")
-                .and_then(jsonx::Value::as_str)
-                .unwrap_or("");
-            failures.push((name.to_owned(), diagnosis.to_owned()));
-        }
-    }
     // Crash-isolation fields are parsed leniently: checkpoints written
     // before they existed simply resume with nothing quarantined.
-    let crashed = v.get("crashed").and_then(jsonx::Value::as_u64).unwrap_or(0);
-    let mut quarantine = BTreeSet::new();
-    if let Some(arr) = v.get("quarantine").and_then(jsonx::Value::as_arr) {
-        for q in arr {
-            if let Some(i) = q.as_u64() {
-                quarantine.insert(i);
-            }
-        }
-    }
+    let crashed = v.get("crashed").and_then(Value::as_u64).unwrap_or(0);
+    let quarantine = v
+        .get("quarantine")
+        .and_then(Value::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(Value::as_u64)
+        .collect();
     Ok(CampaignState {
         next_index: field(&v, "next_index")?,
         scanned: field(&v, "scanned")?,
@@ -532,7 +475,7 @@ pub fn load_checkpoint(path: &Path, cfg: &CampaignConfig) -> io::Result<Campaign
         digest: field(&v, "digest")?,
         crashed,
         quarantine,
-        failures,
+        failures: parse_failures(&v),
     })
 }
 
@@ -626,38 +569,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
     }
 
     let store_counters = store.map(|(shared, path, open_error)| {
-        let path = path.display().to_string();
-        match shared {
-            Some(shared) => {
-                let _ = tso_model::cache::take_store();
-                let _ = tso_model::prefix::take_store();
-                StoreCounters {
-                    path,
-                    open_error,
-                    loads: shared.loads(),
-                    cert_loads: shared.cert_loads(),
-                    save_errors: shared.save_errors(),
-                    appended: shared.with(|s| s.appended()),
-                    keys: shared.with(|s| s.len() as u64),
-                    certs: shared.with(|s| s.cert_count() as u64),
-                    recovered_bytes: shared.with(|s| s.recovered_bytes()),
-                    skipped_records: shared.with(|s| s.open_stats().skipped_records),
-                }
-            }
-            // The store never opened: all-zero counters, open_error set.
-            None => StoreCounters {
-                path,
-                open_error,
-                loads: 0,
-                cert_loads: 0,
-                save_errors: 0,
-                appended: 0,
-                keys: 0,
-                certs: 0,
-                recovered_bytes: 0,
-                skipped_records: 0,
-            },
+        if shared.is_some() {
+            let _ = tso_model::cache::take_store();
+            let _ = tso_model::prefix::take_store();
         }
+        StoreCounters::new(&path, shared.as_deref(), open_error)
     });
 
     Ok(CampaignReport {
@@ -683,117 +599,84 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
 /// shard order, and the per-shard digests XOR-folded into one
 /// order-independent campaign digest.
 pub fn merge_reports(inputs: &[(String, String)]) -> Result<String, String> {
-    use std::fmt::Write as _;
     if inputs.is_empty() {
         return Err("merge needs at least one shard report".to_owned());
     }
-    struct Shard {
-        name: String,
-        shard: u64,
-        processed: u64,
-        crashed: u64,
-        scanned: u64,
-        model_failures: u64,
-        disagreements: u64,
-        deadlocks: u64,
-        digest: u64,
-        elapsed_ms: f64,
-        failures: Vec<(String, String)>,
-    }
-    let mut header: Option<(u64, u64, u64, String)> = None; // seed count shards machine
-    let mut shards_seen: Vec<Shard> = Vec::new();
+    let mut shards_seen: Vec<(&str, Value)> = Vec::new();
     for (name, text) in inputs {
         let v = jsonx::parse(text).map_err(|e| format!("{name}: {e}"))?;
-        if v.get("experiment").and_then(jsonx::Value::as_str) != Some("litmus_campaign") {
+        if v.get("experiment").and_then(Value::as_str) != Some("litmus_campaign") {
             return Err(format!("{name}: not a campaign shard report"));
         }
-        if v.get("complete").and_then(jsonx::Value::as_bool) != Some(true) {
+        if v.get("complete").and_then(Value::as_bool) != Some(true) {
             return Err(format!(
                 "{name}: shard report is incomplete (resume it first)"
             ));
         }
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(jsonx::Value::as_u64)
-                .ok_or_else(|| format!("{name}: missing numeric field {key:?}"))
-        };
-        let this = (
-            num("seed")?,
-            num("count")?,
-            num("shards")?,
-            v.get("machine")
-                .and_then(jsonx::Value::as_str)
-                .unwrap_or("")
-                .to_owned(),
-        );
-        match &header {
-            None => header = Some(this),
-            Some(h) => {
-                if *h != this {
-                    return Err(format!(
-                        "{name}: campaign parameters {this:?} do not match first shard {h:?}"
-                    ));
-                }
+        for key in [
+            "seed",
+            "count",
+            "shards",
+            "shard",
+            "processed",
+            "scanned",
+            "model_failures",
+            "differential_disagreements",
+            "deadlocks",
+            "digest",
+        ] {
+            if v.get(key).and_then(Value::as_u64).is_none() {
+                return Err(format!("{name}: missing numeric field {key:?}"));
             }
         }
-        let mut failures = Vec::new();
-        if let Some(arr) = v.get("failures").and_then(jsonx::Value::as_arr) {
-            for f in arr {
-                failures.push((
-                    f.get("name")
-                        .and_then(jsonx::Value::as_str)
-                        .unwrap_or("")
-                        .to_owned(),
-                    f.get("diagnosis")
-                        .and_then(jsonx::Value::as_str)
-                        .unwrap_or("")
-                        .to_owned(),
-                ));
-            }
-        }
-        shards_seen.push(Shard {
-            name: name.clone(),
-            shard: num("shard")?,
-            processed: num("processed")?,
-            // Lenient: reports from before crash isolation have no field.
-            crashed: v.get("crashed").and_then(jsonx::Value::as_u64).unwrap_or(0),
-            scanned: num("scanned")?,
-            model_failures: num("model_failures")?,
-            disagreements: num("differential_disagreements")?,
-            deadlocks: num("deadlocks")?,
-            digest: num("digest")?,
-            elapsed_ms: v
-                .get("elapsed_ms")
-                .and_then(jsonx::Value::as_f64)
-                .unwrap_or(0.0),
-            failures,
-        });
+        shards_seen.push((name, v));
     }
-    let (seed, count, shards, machine) = header.expect("at least one input");
+    // Every numeric field but `crashed` was checked above; `crashed` is
+    // lenient because reports from before crash isolation have no field.
+    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+    let header = |v: &Value| {
+        let machine = v.get("machine").and_then(Value::as_str).unwrap_or("");
+        (
+            num(v, "seed"),
+            num(v, "count"),
+            num(v, "shards"),
+            machine.to_owned(),
+        )
+    };
+    let first = header(&shards_seen[0].1);
+    for (name, v) in &shards_seen {
+        let this = header(v);
+        if this != first {
+            return Err(format!(
+                "{name}: campaign parameters {this:?} do not match first shard {first:?}"
+            ));
+        }
+    }
+    let (seed, count, shards, machine) = first;
     if shards_seen.len() as u64 != shards {
         return Err(format!(
             "campaign has {shards} shards but {} reports were given",
             shards_seen.len()
         ));
     }
-    shards_seen.sort_by_key(|s| s.shard);
-    for (want, s) in shards_seen.iter().enumerate() {
-        if s.shard != want as u64 {
+    shards_seen.sort_by_key(|(_, v)| num(v, "shard"));
+    for (want, (name, v)) in shards_seen.iter().enumerate() {
+        let shard = num(v, "shard");
+        if shard != want as u64 {
             return Err(format!(
-                "{}: expected shard {want} at this position, got shard {} \
-                 (shard set must be exactly 0..{shards})",
-                s.name, s.shard
+                "{name}: expected shard {want} at this position, got shard {shard} \
+                 (shard set must be exactly 0..{shards})"
             ));
         }
-        if s.scanned != count {
+        let scanned = num(v, "scanned");
+        if scanned != count {
             return Err(format!(
-                "{}: shard scanned {} of {count} draft indices — incomplete",
-                s.name, s.scanned
+                "{name}: shard scanned {scanned} of {count} draft indices — incomplete"
             ));
         }
     }
-    let processed: u64 = shards_seen.iter().map(|s| s.processed).sum();
-    let crashed: u64 = shards_seen.iter().map(|s| s.crashed).sum();
+    let sum = |key| shards_seen.iter().map(|(_, v)| num(v, key)).sum::<u64>();
+    let (processed, crashed) = (sum("processed"), sum("crashed"));
     // Crashed tests produced no verdict but still account for their
     // draft index — missing, never double-counted, never silently lost.
     if processed + crashed != count {
@@ -802,37 +685,38 @@ pub fn merge_reports(inputs: &[(String, String)]) -> Result<String, String> {
              has {count} — the shard partition was not disjoint and complete"
         ));
     }
-    let model_failures: u64 = shards_seen.iter().map(|s| s.model_failures).sum();
-    let disagreements: u64 = shards_seen.iter().map(|s| s.disagreements).sum();
-    let deadlocks: u64 = shards_seen.iter().map(|s| s.deadlocks).sum();
-    let digest = shards_seen.iter().fold(0u64, |d, s| d ^ s.digest);
-    let cpu_ms: f64 = shards_seen.iter().map(|s| s.elapsed_ms).sum();
-    let failures: Vec<(String, String)> =
-        shards_seen.into_iter().flat_map(|s| s.failures).collect();
+    let model_failures = sum("model_failures");
+    let disagreements = sum("differential_disagreements");
+    let digest = shards_seen.iter().fold(0, |d, (_, v)| d ^ num(v, "digest"));
+    let cpu_ms: f64 = shards_seen
+        .iter()
+        .filter_map(|(_, v)| v.get("elapsed_ms").and_then(Value::as_f64))
+        .sum();
+    let failures: Vec<(String, String)> = shards_seen
+        .iter()
+        .flat_map(|(_, v)| parse_failures(v))
+        .collect();
 
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"litmus_campaign_merged\",");
-    let _ = writeln!(out, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"count\": {count},");
-    let _ = writeln!(out, "  \"shards\": {shards},");
-    let _ = writeln!(out, "  \"machine\": \"{machine}\",");
-    let _ = writeln!(out, "  \"processed\": {processed},");
-    let _ = writeln!(out, "  \"crashed\": {crashed},");
-    let _ = writeln!(out, "  \"model_failures\": {model_failures},");
-    let _ = writeln!(out, "  \"differential_disagreements\": {disagreements},");
-    let _ = writeln!(out, "  \"deadlocks\": {deadlocks},");
-    let _ = writeln!(
-        out,
-        "  \"passed\": {},",
-        model_failures == 0 && disagreements == 0 && crashed == 0
-    );
-    let _ = writeln!(out, "  \"digest\": {digest},");
-    let _ = writeln!(out, "  \"shard_elapsed_ms_sum\": {cpu_ms:.3},");
-    let _ = write!(out, "{}", failures_json(&failures, "  "));
-    let _ = writeln!(out, "}}");
-    Ok(out)
+    Ok(Value::obj()
+        .with("experiment", "litmus_campaign_merged")
+        .with("paper", PAPER)
+        .with("seed", seed)
+        .with("count", count)
+        .with("shards", shards)
+        .with("machine", machine)
+        .with("processed", processed)
+        .with("crashed", crashed)
+        .with("model_failures", model_failures)
+        .with("differential_disagreements", disagreements)
+        .with("deadlocks", sum("deadlocks"))
+        .with(
+            "passed",
+            model_failures == 0 && disagreements == 0 && crashed == 0,
+        )
+        .with("digest", digest)
+        .with("shard_elapsed_ms_sum", cpu_ms)
+        .with("failures", failures_value(&failures))
+        .to_json())
 }
 
 #[cfg(test)]
@@ -876,12 +760,12 @@ mod tests {
         let merged = merge_reports(&inputs).unwrap();
         let v = jsonx::parse(&merged).unwrap();
         assert_eq!(
-            v.get("experiment").and_then(jsonx::Value::as_str),
+            v.get("experiment").and_then(Value::as_str),
             Some("litmus_campaign_merged")
         );
-        assert_eq!(v.get("processed").and_then(jsonx::Value::as_u64), Some(60));
+        assert_eq!(v.get("processed").and_then(Value::as_u64), Some(60));
         assert_eq!(
-            v.get("passed").and_then(jsonx::Value::as_bool),
+            v.get("passed").and_then(Value::as_bool),
             Some(solo.passed())
         );
         for shard in 0..3 {
@@ -910,17 +794,33 @@ mod tests {
         assert!(merge_reports(&[("x".into(), "{}".into())]).is_err());
     }
 
+    /// A state exercising every checkpoint field: crashes, a quarantine,
+    /// and failure strings that need escaping (quotes, backslashes, a
+    /// newline, a tab, a control character, a non-BMP character). The
+    /// fixtures under `tests/fixtures` hold this state in the layout
+    /// written before the `jsonx` writer.
+    fn awkward_state() -> CampaignState {
+        CampaignState {
+            next_index: 32,
+            scanned: 32,
+            processed: 30,
+            model_failures: 1,
+            disagreements: 2,
+            deadlocks: 1,
+            digest: u64::MAX - 3,
+            crashed: 2,
+            quarantine: [5, 17].into_iter().collect(),
+            failures: vec![
+                ("SB\"q\\b".into(), "model: a\"b\nc".into()),
+                ("t\u{1}+\u{1F600}".into(), "crashed: boom\t\\".into()),
+            ],
+        }
+    }
+
     #[test]
     fn checkpoints_validate_campaign_identity() {
         let cfg = small_cfg("identity", 0, 1);
-        let state = CampaignState {
-            next_index: 32,
-            scanned: 32,
-            processed: 32,
-            digest: u64::MAX - 3,
-            failures: vec![("t".into(), "model: bad".into())],
-            ..CampaignState::default()
-        };
+        let state = awkward_state();
         write_checkpoint(&cfg.checkpoint_path, &cfg, &state).unwrap();
         let loaded = load_checkpoint(&cfg.checkpoint_path, &cfg).unwrap();
         assert_eq!(loaded, state, "checkpoints roundtrip exactly");
@@ -933,6 +833,40 @@ mod tests {
         other.machine = MachineKind::Paper;
         assert!(load_checkpoint(&cfg.checkpoint_path, &other).is_err());
         std::fs::remove_file(&cfg.checkpoint_path).unwrap();
+    }
+
+    /// A checkpoint and a shard report in the layout written before the
+    /// `jsonx` writer still load, so a campaign killed before an upgrade
+    /// resumes (and merges) after it.
+    #[test]
+    fn older_layout_checkpoint_and_shard_report_still_load() {
+        let mut cfg = small_cfg("older-layout", 0, 1);
+        cfg.count = 32;
+        let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let state = load_checkpoint(&fixtures.join("older_layout_checkpoint.json"), &cfg).unwrap();
+        assert_eq!(state, awkward_state());
+
+        let report = include_str!("../tests/fixtures/older_layout_shard_report.json").to_owned();
+        let merged = jsonx::parse(&merge_reports(&[("shard0".into(), report)]).unwrap()).unwrap();
+        let num = |key| merged.get(key).and_then(Value::as_u64);
+        assert_eq!(num("processed"), Some(30));
+        assert_eq!(num("crashed"), Some(2));
+        assert_eq!(num("digest"), Some(u64::MAX - 3));
+        assert_eq!(merged.get("passed"), Some(&Value::Bool(false)));
+        assert_eq!(parse_failures(&merged), awkward_state().failures);
+    }
+
+    #[test]
+    fn merge_escapes_the_machine_string_it_echoes() {
+        let shard0 = r#"{"experiment": "litmus_campaign", "complete": true, "seed": 1,
+            "count": 2, "shards": 2, "shard": 0, "machine": "a\"b\\c", "scanned": 2,
+            "processed": 1, "model_failures": 0, "differential_disagreements": 0,
+            "deadlocks": 0, "digest": 6}"#;
+        let shard1 = shard0.replace(r#""shard": 0"#, r#""shard": 1"#);
+        let merged = merge_reports(&[("s0".into(), shard0.into()), ("s1".into(), shard1)]).unwrap();
+        let v = jsonx::parse(&merged).unwrap();
+        assert_eq!(v.get("machine").and_then(Value::as_str), Some("a\"b\\c"));
+        assert_eq!(v.get("digest").and_then(Value::as_u64), Some(0));
     }
 
     #[test]

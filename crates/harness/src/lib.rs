@@ -115,10 +115,9 @@ impl core::fmt::Display for MachineKind {
 
 pub mod campaign;
 pub mod faults;
+pub mod jsonx;
 pub mod report;
 pub mod store;
-
-mod jsonx;
 
 pub use report::Report;
 

@@ -1,6 +1,7 @@
 //! Harness reports: aggregation plus JSON, TAP, and human summaries.
 
 use crate::campaign::StoreCounters;
+use crate::jsonx::Value;
 use crate::{faults, MachineKind, TestOutcome};
 use std::fmt::Write as _;
 use tso_model::prefix::PrefixCounters;
@@ -187,145 +188,66 @@ impl Report {
             .sum()
     }
 
-    /// The full report as JSON (hand-rolled — the build is hermetic, no
-    /// serde). Failures carry their diagnosis; passing tests are counted,
-    /// not listed.
+    /// The full report as JSON. Failures carry their diagnosis; passing
+    /// tests are counted, not listed.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"experiment\": \"litmus_harness\",");
-        let _ = writeln!(s, "  \"paper\": \"conf_pldi_RajaramNSE13\",");
-        let _ = writeln!(s, "  \"corpus_total\": {},", self.corpus_total);
-        let _ = writeln!(s, "  \"selected\": {},", self.selected());
-        let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(s, "  \"machine\": \"{}\",", self.machine);
-        let _ = writeln!(s, "  \"elapsed_ms\": {:.3},", self.elapsed_ms);
-        let _ = writeln!(s, "  \"tests_per_sec\": {:.1},", self.tests_per_sec());
-        match (self.baseline_jobs1_ms, self.speedup_vs_jobs1()) {
-            (Some(b), Some(sp)) => {
-                let _ = writeln!(s, "  \"baseline_jobs1_ms\": {b:.3},");
-                let _ = writeln!(s, "  \"speedup_vs_jobs1\": {sp:.3},");
-            }
-            _ => {
-                let _ = writeln!(s, "  \"baseline_jobs1_ms\": null,");
-                let _ = writeln!(s, "  \"speedup_vs_jobs1\": null,");
-            }
-        }
-        let _ = writeln!(s, "  \"model_failures\": {},", self.model_failures());
-        let _ = writeln!(
-            s,
-            "  \"differential_disagreements\": {},",
-            self.disagreements()
-        );
-        let _ = writeln!(s, "  \"deadlocks\": {},", self.deadlocks());
-        let _ = writeln!(s, "  \"crashed\": {},", self.crashed());
-        let _ = writeln!(s, "  \"unknown\": {},", self.unknowns());
-        let _ = writeln!(s, "  \"degraded\": {},", self.degraded());
-        let _ = writeln!(s, "  \"faults_fired\": {},", faults::fired());
-        let _ = writeln!(s, "  \"passed\": {},", self.passed());
-        let _ = writeln!(s, "  \"model_queries\": {},", self.model_queries());
-        let _ = writeln!(s, "  \"model_query_hits\": {},", self.model_query_hits());
-        let _ = writeln!(s, "  \"prefix_hits\": {},", self.prefix_hits());
-        let _ = writeln!(s, "  \"split_decisions\": {},", self.split_decisions());
-        match &self.model_cache {
-            Some(c) => {
-                let _ = writeln!(s, "  \"model_cache\": {{");
-                let _ = writeln!(s, "    \"queries\": {},", c.queries);
-                let _ = writeln!(s, "    \"invocations\": {},", c.invocations);
-                let _ = writeln!(s, "    \"hits\": {},", c.hits());
-                let _ = writeln!(s, "    \"store_hits\": {},", c.store_hits);
-                let _ = writeln!(s, "    \"entries\": {}", c.entries);
-                let _ = writeln!(s, "  }},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"model_cache\": null,");
-            }
-        }
-        match &self.prefix_cache {
-            Some(p) => {
-                let _ = writeln!(s, "  \"prefix_cache\": {{");
-                let _ = writeln!(s, "    \"queries\": {},", p.queries);
-                let _ = writeln!(s, "    \"hits\": {},", p.hits);
-                let _ = writeln!(s, "    \"store_hits\": {},", p.store_hits);
-                let _ = writeln!(s, "    \"stored\": {},", p.stored);
-                let _ = writeln!(s, "    \"nodes_saved\": {},", p.nodes_saved);
-                let _ = writeln!(s, "    \"replayed_leaves\": {},", p.replayed_leaves);
-                let _ = writeln!(s, "    \"entries\": {}", p.entries);
-                let _ = writeln!(s, "  }},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"prefix_cache\": null,");
-            }
-        }
-        match &self.store {
-            Some(st) => {
-                let _ = writeln!(s, "  \"store\": {{");
-                let _ = writeln!(s, "    \"path\": \"{}\",", json_escape(&st.path));
-                let _ = writeln!(s, "    \"degraded\": {},", st.degraded());
-                match &st.open_error {
-                    Some(e) => {
-                        let _ = writeln!(s, "    \"open_error\": \"{}\",", json_escape(e));
-                    }
-                    None => {
-                        let _ = writeln!(s, "    \"open_error\": null,");
-                    }
-                }
-                let _ = writeln!(s, "    \"loads\": {},", st.loads);
-                let _ = writeln!(s, "    \"cert_loads\": {},", st.cert_loads);
-                let _ = writeln!(s, "    \"appended\": {},", st.appended);
-                let _ = writeln!(s, "    \"keys\": {},", st.keys);
-                let _ = writeln!(s, "    \"certs\": {},", st.certs);
-                let _ = writeln!(s, "    \"recovered_bytes\": {},", st.recovered_bytes);
-                let _ = writeln!(s, "    \"skipped_records\": {},", st.skipped_records);
-                let _ = writeln!(s, "    \"save_errors\": {}", st.save_errors);
-                let _ = writeln!(s, "  }},");
-            }
-            None => {
-                let _ = writeln!(s, "  \"store\": null,");
-            }
-        }
-        let _ = writeln!(s, "  \"failures\": [");
-        let failures: Vec<&TestOutcome> = self.outcomes.iter().filter(|o| !o.passed()).collect();
-        for (i, o) in failures.iter().enumerate() {
-            let comma = if i + 1 < failures.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"diagnosis\": \"{}\"}}{comma}",
-                json_escape(&o.name),
-                json_escape(&o.diagnosis())
-            );
-        }
-        let _ = writeln!(s, "  ],");
+        let failures: Value = self
+            .outcomes
+            .iter()
+            .filter(|o| !o.passed())
+            .map(|o| failure(&o.name, &o.diagnosis()))
+            .collect();
         // Per-test perf attribution: wall-clock, the stable worker id that
         // ran the test, and the model-search weight behind its verdicts —
         // enough to spot a perf regression from `litmus_run` output alone.
-        let _ = writeln!(s, "  \"tests\": [");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            let comma = if i + 1 < self.outcomes.len() { "," } else { "" };
-            let _ = writeln!(
-                s,
-                "    {{\"name\": \"{}\", \"worker\": {}, \"micros\": {}, \
-                 \"model_nodes\": {}, \"model_pruned\": {}, \"model_valid\": {}, \
-                 \"model_tasks\": {}, \"model_workers\": {}, \
-                 \"model_queries\": {}, \"model_cache_hits\": {}, \
-                 \"prefix_hits\": {}, \"split_decisions\": {}}}{comma}",
-                json_escape(&o.name),
-                o.worker,
-                o.micros,
-                o.model_stats.nodes,
-                o.model_stats.pruned,
-                o.model_stats.valid,
-                o.model_stats.tasks,
-                o.model_stats.workers,
-                o.model_queries,
-                o.model_cache_hits,
-                o.prefix_hits,
-                o.split_decisions,
-            );
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
+        let tests: Value = self
+            .outcomes
+            .iter()
+            .map(|o| {
+                Value::obj()
+                    .with("name", o.name.as_str())
+                    .with("worker", o.worker)
+                    .with("micros", o.micros)
+                    .with("model_nodes", o.model_stats.nodes)
+                    .with("model_pruned", o.model_stats.pruned)
+                    .with("model_valid", o.model_stats.valid)
+                    .with("model_tasks", o.model_stats.tasks)
+                    .with("model_workers", o.model_stats.workers)
+                    .with("model_queries", o.model_queries)
+                    .with("model_cache_hits", o.model_cache_hits)
+                    .with("prefix_hits", o.prefix_hits)
+                    .with("split_decisions", o.split_decisions)
+            })
+            .collect();
+        Value::obj()
+            .with("experiment", "litmus_harness")
+            .with("paper", PAPER)
+            .with("corpus_total", self.corpus_total)
+            .with("selected", self.selected())
+            .with("jobs", self.jobs)
+            .with("machine", self.machine.name())
+            .with("elapsed_ms", self.elapsed_ms)
+            .with("tests_per_sec", self.tests_per_sec())
+            .with("baseline_jobs1_ms", self.baseline_jobs1_ms)
+            .with("speedup_vs_jobs1", self.speedup_vs_jobs1())
+            .with("model_failures", self.model_failures())
+            .with("differential_disagreements", self.disagreements())
+            .with("deadlocks", self.deadlocks())
+            .with("crashed", self.crashed())
+            .with("unknown", self.unknowns())
+            .with("degraded", self.degraded())
+            .with("faults_fired", faults::fired())
+            .with("passed", self.passed())
+            .with("model_queries", self.model_queries())
+            .with("model_query_hits", self.model_query_hits())
+            .with("prefix_hits", self.prefix_hits())
+            .with("split_decisions", self.split_decisions())
+            .with("model_cache", self.model_cache.as_ref())
+            .with("prefix_cache", self.prefix_cache.as_ref())
+            .with("store", self.store.as_ref())
+            .with("failures", failures)
+            .with("tests", tests)
+            .to_json()
     }
 
     /// The run as TAP (Test Anything Protocol) version 13.
@@ -344,21 +266,56 @@ impl Report {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// The `paper` tag every report carries.
+pub const PAPER: &str = "conf_pldi_RajaramNSE13";
+
+/// One recorded failure: the shape of every `failures` list entry.
+pub(crate) fn failure(name: &str, diagnosis: &str) -> Value {
+    Value::obj().with("name", name).with("diagnosis", diagnosis)
+}
+
+/// The `model_cache` block of every report.
+impl From<&CacheCounters> for Value {
+    fn from(c: &CacheCounters) -> Value {
+        Value::obj()
+            .with("queries", c.queries)
+            .with("invocations", c.invocations)
+            .with("hits", c.hits())
+            .with("store_hits", c.store_hits)
+            .with("entries", c.entries)
     }
-    out
+}
+
+/// The `prefix_cache` block of every report.
+impl From<&PrefixCounters> for Value {
+    fn from(p: &PrefixCounters) -> Value {
+        Value::obj()
+            .with("queries", p.queries)
+            .with("hits", p.hits)
+            .with("store_hits", p.store_hits)
+            .with("stored", p.stored)
+            .with("nodes_saved", p.nodes_saved)
+            .with("replayed_leaves", p.replayed_leaves)
+            .with("entries", p.entries)
+    }
+}
+
+/// The `store` block of every report.
+impl From<&StoreCounters> for Value {
+    fn from(st: &StoreCounters) -> Value {
+        Value::obj()
+            .with("path", st.path.as_str())
+            .with("degraded", st.degraded())
+            .with("open_error", st.open_error.as_deref())
+            .with("loads", st.loads)
+            .with("cert_loads", st.cert_loads)
+            .with("appended", st.appended)
+            .with("keys", st.keys)
+            .with("certs", st.certs)
+            .with("recovered_bytes", st.recovered_bytes)
+            .with("skipped_records", st.skipped_records)
+            .with("save_errors", st.save_errors)
+    }
 }
 
 #[cfg(test)]
@@ -462,12 +419,6 @@ mod tests {
             .contains("not ok 1 - SB # model: expected forbidden"));
         assert!(r.to_json().contains("\"baseline_jobs1_ms\": null"));
         assert!(r.to_json().contains("\"machine\": \"paper\""));
-    }
-
-    #[test]
-    fn json_escaping_handles_quotes_and_newlines() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]
