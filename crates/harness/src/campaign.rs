@@ -46,7 +46,7 @@ use std::collections::BTreeSet;
 use std::hash::Hasher as _;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Failures recorded verbatim in checkpoints and reports; beyond this the
@@ -533,24 +533,35 @@ pub fn run_campaign(cfg: &CampaignConfig) -> io::Result<CampaignReport> {
     let mut checkpoint_errors = 0u64;
     while state.next_index < cfg.count {
         let end = (state.next_index + cfg.chunk).min(cfg.count);
-        let drafts: Vec<(u64, litmus::gen::CampaignDraft)> = (state.next_index..end)
+        let (indices, drafts): (Vec<u64>, Vec<_>) = (state.next_index..end)
             .map(|i| (i, campaign_draft(cfg.seed, i)))
-            .filter(|(_, d)| d.fingerprint() % u64::from(cfg.shards) == u64::from(cfg.shard))
+            // A single shard owns every draft: only a split campaign
+            // pays for the fingerprint that decides membership.
+            .filter(|(_, d)| {
+                cfg.shards == 1 || d.fingerprint() % u64::from(cfg.shards) == u64::from(cfg.shard)
+            })
             // Known-crashers from the checkpoint stay quarantined: a
             // resumed run skips them instead of dying on them again.
             .filter(|(i, _)| !state.quarantine.contains(i))
-            .collect();
+            .map(|(i, d)| (i, Mutex::new(Some(d))))
+            .unzip();
         state.scanned += end - state.next_index;
         let jobs = cfg.jobs.max(1).min(drafts.len().max(1));
         let results = exec_pool::run_all_catching(jobs, drafts.len(), |_, idx| {
-            differential_check_on(&drafts[idx].1.clone().finish(), cfg.machine)
+            let draft = drafts[idx]
+                .lock()
+                .expect("no task panics while holding a draft slot")
+                .take();
+            differential_check_on(&draft.expect("each draft runs once").finish(), cfg.machine)
         });
-        for (slot, result) in results.into_iter().enumerate() {
+        for (&index, result) in indices.iter().zip(results) {
             match result {
                 Ok(o) => state.fold(&o),
+                // The crashed task consumed its draft; drafts are
+                // random-access, so regenerate it for its name.
                 Err(panic) => {
-                    let (index, draft) = &drafts[slot];
-                    state.fold_crash(*index, &draft.name, &panic.message);
+                    let name = campaign_draft(cfg.seed, index).name;
+                    state.fold_crash(index, &name, &panic.message);
                 }
             }
         }

@@ -15,14 +15,35 @@
 //!
 //! [`Program::canonicalize`] picks the canonical representative:
 //!
-//! * threads are permuted to minimize the serialized form — exhaustively
-//!   for programs up to [`PERM_SEARCH_MAX_THREADS`] threads, identity
-//!   order above (still sound: a coarser canonical form only misses
-//!   dedup opportunities, it never conflates inequivalent programs);
+//! * threads are ordered to minimize the serialized form — by the pruned
+//!   search below for programs up to [`PERM_SEARCH_MAX_THREADS`] threads,
+//!   identity order above (still sound: a coarser canonical form only
+//!   misses dedup opportunities, it never conflates inequivalent programs);
 //! * addresses are renamed to `0, 1, 2, …` in order of first appearance
 //!   under that thread order;
 //! * instruction values, RMW kinds, and atomicities are serialized
 //!   verbatim — only thread order and address names are quotiented.
+//!
+//! The serialization is the thread count followed by one *segment* per
+//! thread: `u64::MAX`, the instruction count, then each instruction as a
+//! tag word and the operand words its tag fixes. The minimum over all n!
+//! thread orders is found without enumerating them, by the prefix-pruned
+//! search of canonical-labelling tools (McKay & Piperno, *Practical graph
+//! isomorphism, II*, J. Symb. Comput. 2014). The search is exact:
+//!
+//! * addresses are renamed by first appearance, so the segment of the
+//!   thread at position k depends only on the threads at positions 0..=k;
+//! * no segment is a proper prefix of another, so keys compare as their
+//!   segment sequences do, and a minimal key starts with a minimal first
+//!   segment. At each depth the search serializes every remaining thread
+//!   against the current rename map, keeps only the tied minima and
+//!   descends into those; a depth whose minimum exceeds the best key found
+//!   so far cuts its branch;
+//! * tied siblings whose subtrees give the same keys are explored once:
+//!   threads with identical instruction lists, and threads whose newly
+//!   named addresses occur in no other remaining thread. Swapping two such
+//!   threads (and their new addresses) is an automorphism of the program
+//!   that fixes the placed prefix.
 //!
 //! The full canonical serialization (not its 64-bit
 //! [`fingerprint`](Canonical::fingerprint)) is the cache key, so a hash
@@ -30,18 +51,22 @@
 //! [`Canonical`] value keeps both direction maps, letting callers
 //! translate read indices and addresses between original and canonical
 //! coordinates — [`Canonical::outcome_to_original`] is how the cache
-//! hands back outcome sets in the caller's frame.
+//! hands back outcome sets in the caller's frame. When a program has
+//! automorphisms, several thread orders give the minimal key;
+//! [`Canonical::thread_perm`] names one of them, and every one maps the
+//! canonical outcome set back to the same original set.
 
 use crate::outcome::Outcome;
 use crate::program::{Instr, Program};
 use rmw_types::fasthash::FastHasher;
 use rmw_types::{Addr, Atomicity, RmwKind, ThreadId};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::hash::Hasher as _;
 
-/// Exhaustive thread-permutation search is bounded by this thread count
-/// (7! = 5040 serializations); larger programs keep their thread order.
-/// The bound covers every generated family in the corpus (≤ 7 threads).
+/// The thread-order search is bounded by this thread count (at most
+/// 7! = 5040 orders, a handful in practice); larger programs keep their
+/// thread order. The bound covers every generated family in the corpus
+/// (≤ 7 threads).
 pub const PERM_SEARCH_MAX_THREADS: usize = 7;
 
 /// A program's canonical form with the coordinate maps back to the
@@ -159,24 +184,34 @@ pub(crate) fn masked_key(key: &[u64]) -> Vec<u64> {
     let mut i = 1; // skip the thread count
     while i < out.len() {
         debug_assert_eq!(out[i], u64::MAX, "expected thread separator");
-        i += 1;
-        let count = out[i] as usize;
-        i += 1;
+        let count = out[i + 1];
+        i += 2;
         for _ in 0..count {
-            match out[i] {
-                1 => i += 2, // Read: tag, addr
-                2 => i += 3, // Write: tag, addr, value
-                3 => {
-                    // Rmw: tag, addr, kind, arg1, arg2, atomicity rank
-                    out[i + 5] = 0;
-                    i += 6;
-                }
-                4 => i += 1, // Fence: tag
-                _ => unreachable!("malformed canonical key"),
+            if out[i] == 3 {
+                out[i + 5] = 0; // the RMW's atomicity rank
             }
+            i += instr_width(out[i]);
         }
     }
     out
+}
+
+/// Words of one serialized instruction, fixed by its tag: Read (tag,
+/// addr), Write (tag, addr, value), Rmw (tag, addr, kind, arg1, arg2,
+/// atomicity rank), Fence (tag).
+fn instr_width(tag: u64) -> usize {
+    match tag {
+        1 => 2,
+        2 => 3,
+        3 => 6,
+        4 => 1,
+        _ => unreachable!("malformed canonical key"),
+    }
+}
+
+/// Length of the thread segment that starts `words`.
+fn segment_len(words: &[u64]) -> usize {
+    (0..words[1]).fold(2, |i, _| i + instr_width(words[i]))
 }
 
 impl Program {
@@ -184,32 +219,16 @@ impl Program {
     /// renaming; see the module docs for the exact quotient.
     pub fn canonicalize(&self) -> Canonical {
         let n = self.num_threads();
-        let identity: Vec<usize> = (0..n).collect();
-        type Best = Option<(Vec<u64>, Vec<usize>, BTreeMap<Addr, Addr>)>;
-        let mut best: Best = None;
-        let consider = |perm: &[usize], best: &mut Option<_>| {
-            let (key, addr_map) = serialize_under(self, perm);
-            let better = match best {
-                Some((best_key, _, _)) => key < *best_key,
-                None => true,
-            };
-            if better {
-                *best = Some((key, perm.to_vec(), addr_map));
-            }
-        };
-        if n <= PERM_SEARCH_MAX_THREADS {
-            let mut perm = identity;
-            permute(&mut perm, 0, &mut |p| consider(p, &mut best));
-        } else {
-            consider(&identity, &mut best);
-        }
-        let (key, perm, addr_map) = best.expect("at least the identity permutation considered");
+        let (key, perm) = min_serialization(self);
+        let fingerprint = fingerprint_of(&key);
 
-        let mut hasher = FastHasher::default();
-        for &word in &key {
-            hasher.write_u64(word);
+        // Replay the winning order to recover its rename map:
+        // `addrs[canonical address] = original address`.
+        let mut addrs: Vec<Addr> = Vec::new();
+        for &t in &perm {
+            serialize_thread(self.thread(ThreadId(t)), &mut addrs, |_| true);
         }
-        let fingerprint = hasher.finish();
+        let canon_of = |a: Addr| Addr(addrs.iter().position(|&o| o == a).expect("renamed") as u64);
 
         // Rebuild the canonical program from the winning permutation.
         let mut canonical = Program::new();
@@ -217,10 +236,29 @@ impl Program {
             let instrs = self
                 .thread(ThreadId(t))
                 .iter()
-                .map(|&i| rename_instr(i, &addr_map))
+                .map(|&i| match i {
+                    Instr::Read(a) => Instr::Read(canon_of(a)),
+                    Instr::Write(a, v) => Instr::Write(canon_of(a), v),
+                    Instr::Rmw {
+                        addr,
+                        kind,
+                        atomicity,
+                    } => Instr::Rmw {
+                        addr: canon_of(addr),
+                        kind,
+                        atomicity,
+                    },
+                    Instr::Fence => Instr::Fence,
+                })
                 .collect();
             canonical.add_thread(instrs);
         }
+        let mut addr_to_canon: Vec<(Addr, Addr)> = addrs
+            .iter()
+            .enumerate()
+            .map(|(c, &o)| (o, Addr(c as u64)))
+            .collect();
+        addr_to_canon.sort_unstable();
 
         // Original read index -> canonical read index: reads stay in po
         // order within their thread; threads move as blocks.
@@ -245,7 +283,7 @@ impl Program {
             key,
             fingerprint,
             perm: perm.into_iter().map(ThreadId).collect(),
-            addr_to_canon: addr_map.into_iter().collect(),
+            addr_to_canon,
             read_map,
         }
     }
@@ -256,36 +294,20 @@ impl Program {
     ///
     /// This is the cheap path consumers that only need the identity should
     /// take (the campaign driver computes one per generated test to decide
-    /// `--shard i/n` membership): it runs the same minimum-serialization
-    /// search as [`Program::canonicalize`] but skips rebuilding the
-    /// canonical program and the coordinate maps.
+    /// `--shard i/n` membership): it runs the same pruned
+    /// minimum-serialization search as [`Program::canonicalize`] but skips
+    /// rebuilding the canonical program and the coordinate maps.
     pub fn canonical_fingerprint(&self) -> u64 {
-        let n = self.num_threads();
-        let mut best: Option<Vec<u64>> = None;
-        let mut consider = |perm: &[usize]| {
-            let (key, _) = serialize_under(self, perm);
-            let better = match &best {
-                Some(b) => key < *b,
-                None => true,
-            };
-            if better {
-                best = Some(key);
-            }
-        };
-        if n <= PERM_SEARCH_MAX_THREADS {
-            let mut perm: Vec<usize> = (0..n).collect();
-            permute(&mut perm, 0, &mut consider);
-        } else {
-            let identity: Vec<usize> = (0..n).collect();
-            consider(&identity);
-        }
-        let key = best.expect("at least the identity permutation considered");
-        let mut hasher = FastHasher::default();
-        for &word in &key {
-            hasher.write_u64(word);
-        }
-        hasher.finish()
+        fingerprint_of(&min_serialization(self).0)
     }
+}
+
+fn fingerprint_of(key: &[u64]) -> u64 {
+    let mut hasher = FastHasher::default();
+    for &word in key {
+        hasher.write_u64(word);
+    }
+    hasher.finish()
 }
 
 fn thread_read_count(instrs: &[Instr]) -> usize {
@@ -295,72 +317,186 @@ fn thread_read_count(instrs: &[Instr]) -> usize {
         .count()
 }
 
-/// Serializes the program with threads in `perm` order and addresses
-/// renamed by first appearance; returns the word stream and the rename map.
-fn serialize_under(p: &Program, perm: &[usize]) -> (Vec<u64>, BTreeMap<Addr, Addr>) {
-    let mut addr_map: BTreeMap<Addr, Addr> = BTreeMap::new();
-    let mut next_addr = 0u64;
-    let mut canon_of = |a: Addr, map: &mut BTreeMap<Addr, Addr>| -> u64 {
-        map.entry(a)
-            .or_insert_with(|| {
-                let c = Addr(next_addr);
-                next_addr += 1;
-                c
-            })
-            .0
-    };
-    let mut words = Vec::with_capacity(p.num_instrs() * 4 + perm.len() + 1);
-    words.push(perm.len() as u64);
-    for &t in perm {
-        let instrs = p.thread(ThreadId(t));
-        words.push(u64::MAX); // unambiguous thread separator
-        words.push(instrs.len() as u64);
-        for &i in instrs {
-            match i {
-                Instr::Read(a) => {
-                    words.push(1);
-                    words.push(canon_of(a, &mut addr_map));
-                }
-                Instr::Write(a, v) => {
-                    words.push(2);
-                    words.push(canon_of(a, &mut addr_map));
-                    words.push(v);
-                }
-                Instr::Rmw {
-                    addr,
-                    kind,
-                    atomicity,
-                } => {
-                    words.push(3);
-                    words.push(canon_of(addr, &mut addr_map));
-                    let (k, a1, a2) = encode_kind(kind);
-                    words.push(k);
-                    words.push(a1);
-                    words.push(a2);
-                    words.push(atomicity_rank(atomicity));
-                }
-                Instr::Fence => words.push(4),
-            }
+/// The minimal serialization over thread orders (identity order above
+/// [`PERM_SEARCH_MAX_THREADS`]) and one thread order that produces it.
+fn min_serialization(p: &Program) -> (Vec<u64>, Vec<usize>) {
+    let n = p.num_threads();
+    let mut cur = Vec::with_capacity(1 + 2 * n + 6 * p.num_instrs());
+    cur.push(n as u64);
+    let mut addrs = Vec::new();
+    if n > PERM_SEARCH_MAX_THREADS {
+        for t in 0..n {
+            serialize_thread(p.thread(ThreadId(t)), &mut addrs, |w| {
+                cur.push(w);
+                true
+            });
         }
+        return (cur, (0..n).collect());
     }
-    (words, addr_map)
+    let mut search = Search {
+        program: p,
+        cur,
+        addrs,
+        order: [0; PERM_SEARCH_MAX_THREADS],
+        best: Vec::new(),
+        best_order: [0; PERM_SEARCH_MAX_THREADS],
+    };
+    search.descend(0, 0);
+    (search.best, search.best_order[..n].to_vec())
 }
 
-fn rename_instr(i: Instr, addr_map: &BTreeMap<Addr, Addr>) -> Instr {
-    match i {
-        Instr::Read(a) => Instr::Read(addr_map[&a]),
-        Instr::Write(a, v) => Instr::Write(addr_map[&a], v),
-        Instr::Rmw {
-            addr,
-            kind,
-            atomicity,
-        } => Instr::Rmw {
-            addr: addr_map[&addr],
-            kind,
-            atomicity,
-        },
-        Instr::Fence => Instr::Fence,
+/// State of the pruned thread-order search (see the module docs).
+struct Search<'p> {
+    program: &'p Program,
+    /// The serialization of the placed threads, followed by the running
+    /// minimum segment of the depth being searched.
+    cur: Vec<u64>,
+    /// The rename map of the placed threads: `addrs[c]` is the original
+    /// address named `c`. Backtracked by truncation.
+    addrs: Vec<Addr>,
+    /// `order[k]` is the thread placed at position `k`.
+    order: [usize; PERM_SEARCH_MAX_THREADS],
+    /// The least complete serialization found so far (empty before the
+    /// first leaf) and its thread order.
+    best: Vec<u64>,
+    best_order: [usize; PERM_SEARCH_MAX_THREADS],
+}
+
+impl<'p> Search<'p> {
+    fn thread(&self, t: usize) -> &'p [Instr] {
+        self.program.thread(ThreadId(t))
     }
+
+    /// Places a thread at position `depth`, given the set `used` of
+    /// threads already placed, and searches every order of the rest.
+    fn descend(&mut self, depth: usize, used: u32) {
+        let n = self.program.num_threads();
+        let base = self.cur.len();
+        // Whether the placed prefix equals the incumbent's. It is never
+        // larger: larger depths are cut before they are entered.
+        let tied = !self.best.is_empty() && self.best[..base] == self.cur[..];
+        if depth == n {
+            if !tied {
+                self.best.clone_from(&self.cur);
+                self.best_order = self.order;
+            }
+            return;
+        }
+        if tied {
+            // Seed the running minimum with the incumbent's segment, so
+            // only threads that tie or beat it survive.
+            let len = segment_len(&self.best[base..]);
+            self.cur.extend_from_slice(&self.best[base..base + len]);
+        }
+        let free = move |t: &usize| used & 1 << t == 0;
+        let mut ties = 0u32;
+        for t in (0..n).filter(free) {
+            let mark = self.addrs.len();
+            match self.compare(t, base) {
+                Ordering::Less => ties = 1 << t,
+                Ordering::Equal => ties |= 1 << t,
+                Ordering::Greater => {}
+            }
+            self.addrs.truncate(mark);
+        }
+        let mut explored = 0u32;
+        let mut private_explored = false;
+        for t in (0..n).filter(|t| ties & 1 << t != 0) {
+            let instrs = self.thread(t);
+            if (0..n).any(|s| explored & 1 << s != 0 && self.thread(s) == instrs) {
+                continue;
+            }
+            let mark = self.addrs.len();
+            serialize_thread(instrs, &mut self.addrs, |_| true);
+            if ties.count_ones() > 1 {
+                let private = self.addrs[mark..].iter().all(|&a| {
+                    (0..n)
+                        .filter(|&s| s != t && free(&s))
+                        .all(|s| self.thread(s).iter().all(|i| i.addr() != Some(a)))
+                });
+                if private && private_explored {
+                    self.addrs.truncate(mark);
+                    continue;
+                }
+                private_explored |= private;
+            }
+            explored |= 1 << t;
+            self.order[depth] = t;
+            self.descend(depth + 1, used | 1 << t);
+            self.addrs.truncate(mark);
+        }
+        self.cur.truncate(base);
+    }
+
+    /// Serializes thread `t` against the rename map (extending it with the
+    /// thread's new addresses) and compares the segment with the running
+    /// minimum in `cur[base..]`, stopping at the first larger word. A
+    /// smaller segment (or the first one, when there is no minimum yet)
+    /// becomes the running minimum in place.
+    fn compare(&mut self, t: usize, base: usize) -> Ordering {
+        let Search {
+            program,
+            cur,
+            addrs,
+            ..
+        } = self;
+        let mut pos = base;
+        let mut ord = Ordering::Equal;
+        serialize_thread(program.thread(ThreadId(t)), addrs, |w| {
+            if ord == Ordering::Equal {
+                match cur.get(pos).map_or(Ordering::Less, |r| w.cmp(r)) {
+                    Ordering::Equal => {
+                        pos += 1;
+                        return true;
+                    }
+                    Ordering::Less => {
+                        cur.truncate(pos);
+                        ord = Ordering::Less;
+                    }
+                    Ordering::Greater => {
+                        ord = Ordering::Greater;
+                        return false;
+                    }
+                }
+            }
+            cur.push(w);
+            true
+        });
+        ord
+    }
+}
+
+/// Streams the serialized segment of one thread into `emit`, naming each
+/// address by its index in `addrs` and appending the ones not yet named.
+/// Stops at the first word `emit` rejects.
+fn serialize_thread(instrs: &[Instr], addrs: &mut Vec<Addr>, mut emit: impl FnMut(u64) -> bool) {
+    let mut name = |a: Addr| match addrs.iter().position(|&o| o == a) {
+        Some(c) => c as u64,
+        None => {
+            addrs.push(a);
+            addrs.len() as u64 - 1
+        }
+    };
+    let _ = emit(u64::MAX)
+        && emit(instrs.len() as u64)
+        && instrs.iter().all(|&i| match i {
+            Instr::Read(a) => emit(1) && emit(name(a)),
+            Instr::Write(a, v) => emit(2) && emit(name(a)) && emit(v),
+            Instr::Rmw {
+                addr,
+                kind,
+                atomicity,
+            } => {
+                let (k, a1, a2) = encode_kind(kind);
+                emit(3)
+                    && emit(name(addr))
+                    && emit(k)
+                    && emit(a1)
+                    && emit(a2)
+                    && emit(atomicity_rank(atomicity))
+            }
+            Instr::Fence => emit(4),
+        });
 }
 
 fn encode_kind(kind: RmwKind) -> (u64, u64, u64) {
@@ -377,20 +513,6 @@ fn atomicity_rank(a: Atomicity) -> u64 {
         Atomicity::Type1 => 1,
         Atomicity::Type2 => 2,
         Atomicity::Type3 => 3,
-    }
-}
-
-/// Visits every permutation of `items` (Heap's-style recursive swap
-/// enumeration; deterministic order).
-fn permute(items: &mut Vec<usize>, k: usize, visit: &mut impl FnMut(&[usize])) {
-    if k + 1 >= items.len() {
-        visit(items);
-        return;
-    }
-    for i in k..items.len() {
-        items.swap(k, i);
-        permute(items, k + 1, visit);
-        items.swap(k, i);
     }
 }
 
