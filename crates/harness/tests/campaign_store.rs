@@ -164,3 +164,31 @@ fn sharded_stores_fold_into_one_equivalent_store() {
     }
     std::fs::remove_file(&merged_path).unwrap();
 }
+
+#[test]
+fn cold_single_job_campaigns_write_byte_identical_stores() {
+    // The verdict store is a deterministic function of the campaign: two
+    // cold one-job runs with the same seed, each into a fresh store, write
+    // the same bytes and report the same digest. This is what lets two
+    // builds be compared by `cmp` of their store files.
+    let _guard = lock();
+    let mut runs = Vec::new();
+    for name in ["bytes-a", "bytes-b"] {
+        let mut c = cfg(name, 120);
+        c.jobs = 1;
+        cleanup(&c);
+        tso_model::cache::clear();
+        tso_model::prefix::clear();
+        let report = run_campaign(&c).unwrap();
+        assert!(report.complete);
+        assert!(report.store.as_ref().expect("store configured").appended > 0);
+        let bytes = std::fs::read(c.store_path.as_ref().unwrap()).unwrap();
+        cleanup(&c);
+        runs.push((bytes, report.state.digest));
+    }
+    assert!(
+        runs[0].0 == runs[1].0,
+        "cold runs wrote different store files"
+    );
+    assert_eq!(runs[0].1, runs[1].1, "cold runs reported different digests");
+}

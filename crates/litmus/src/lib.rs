@@ -101,11 +101,12 @@ pub struct CheckResult {
     pub expect: Expect,
     /// `observed == expected`.
     pub passed: bool,
-    /// When the target outcome was observed, the valid execution exhibiting
-    /// it — `rf`, `ws`, and resolved read values. `None` exactly when
-    /// `observed_allowed` is false (non-observation has no single-execution
-    /// witness). In particular, a **failed** `Forbidden` expectation always
-    /// carries the counterexample execution.
+    /// When the check **failed** because the target outcome was observed
+    /// (a `Forbidden` expectation), the valid execution exhibiting it —
+    /// `rf`, `ws`, and resolved read values: the counterexample. `None`
+    /// otherwise: a passing check costs one cached model query and no
+    /// witness search, and non-observation has no single-execution
+    /// witness.
     pub witness: Option<CandidateExecution>,
     /// Stats of the model search behind this verdict. On a cache hit the
     /// numbers are *attributed* — the search ran once, when the program's
@@ -134,8 +135,8 @@ pub struct CheckResult {
 }
 
 impl CheckResult {
-    /// Human-readable verdict, including the witness execution (its `rf`,
-    /// `ws`, and read values) whenever the target outcome was observed.
+    /// Human-readable verdict, including the counterexample execution (its
+    /// `rf`, `ws`, and read values) when a `Forbidden` target was observed.
     pub fn report(&self) -> String {
         let mut s = format!(
             "{}: expected {}, model observed allowed={} — {}",
@@ -165,23 +166,16 @@ impl Litmus {
     /// search when cores are available), and the target is tested against
     /// that set. Checking the same program again — or any of its permuted
     /// siblings, or its `with_atomicity` rewrites when it has no RMWs —
-    /// costs a lookup, not a search. When the target is observed, a
-    /// concrete witness execution is recovered with an early-exit
-    /// [`find_execution`] and kept as [`CheckResult::witness`].
+    /// costs a lookup, not a search. When the check fails because the
+    /// target was observed, the counterexample execution is recovered with
+    /// an early-exit [`find_execution`] and kept as
+    /// [`CheckResult::witness`].
     pub fn check(&self) -> CheckResult {
         let cached = allowed_outcomes_cached(&self.program);
         let observed_allowed = cached
             .outcomes
             .iter()
             .any(|o| self.target.matches(&o.read_values()));
-        let witness = if observed_allowed {
-            Some(
-                find_execution(&self.program, |reads| self.target.matches(reads))
-                    .expect("an observed outcome has a witness execution"),
-            )
-        } else {
-            None
-        };
         // Budget-truncated outcome sets are sound subsets: observation is
         // conclusive, non-observation is not (see `CheckResult::unknown`).
         let unknown = cached.unknown && !observed_allowed;
@@ -190,6 +184,10 @@ impl Litmus {
                 Expect::Allowed => observed_allowed,
                 Expect::Forbidden => !observed_allowed,
             };
+        let witness = (!passed && observed_allowed).then(|| {
+            find_execution(&self.program, |reads| self.target.matches(reads))
+                .expect("an observed outcome has a witness execution")
+        });
         CheckResult {
             name: self.name.clone(),
             observed_allowed,
@@ -278,17 +276,12 @@ mod tests {
 
     #[test]
     fn check_attaches_a_witness_exactly_when_observed() {
-        // Allowed + observed: SB carries a witness matching the target.
-        let sb = classic::sb();
-        let r = sb.check();
+        // Allowed + observed: SB passes, and a passing check searches for
+        // no witness.
+        let r = classic::sb().check();
         assert!(r.passed && r.observed_allowed);
-        let w = r
-            .witness
-            .as_ref()
-            .expect("observed outcome must carry a witness");
-        assert!(sb.target.matches(&w.read_values()));
-        assert!(r.report().contains("witness execution"));
-        assert!(r.report().contains("rf:"), "witness report shows rf edges");
+        assert!(r.witness.is_none(), "a passing check carries no witness");
+        assert!(!r.report().contains("witness execution"));
 
         // Forbidden + not observed: no witness, report has no execution.
         let mp = classic::mp();
@@ -308,6 +301,8 @@ mod tests {
             .expect("failure against Forbidden has a counterexample");
         assert_eq!(w.read_values(), vec![0, 0]);
         assert!(r.report().contains("FAIL"));
+        assert!(r.report().contains("witness execution"));
+        assert!(r.report().contains("rf:"), "witness report shows rf edges");
     }
 
     #[test]

@@ -94,6 +94,17 @@ pub(crate) struct QueryBudget {
 const DEADLINE_CHECK_MASK: u64 = 1023;
 
 impl QueryBudget {
+    /// Starts accounting for one query under `budget`; its deadline, if
+    /// any, runs from now.
+    pub(crate) fn new(budget: SearchBudget) -> QueryBudget {
+        QueryBudget {
+            max_nodes: budget.max_nodes,
+            deadline: budget.max_time.map(|t| Instant::now() + t),
+            nodes: AtomicU64::new(0),
+            exhausted: AtomicBool::new(false),
+        }
+    }
+
     /// Charges one decision node against the budget. Returns `true` when
     /// the budget is (now) exhausted — the search must stop.
     pub(crate) fn charge(&self) -> bool {
@@ -120,12 +131,7 @@ pub(crate) fn begin_query() -> Option<Arc<QueryBudget>> {
     if budget.is_unlimited() {
         return None;
     }
-    Some(Arc::new(QueryBudget {
-        max_nodes: budget.max_nodes,
-        deadline: budget.max_time.map(|t| Instant::now() + t),
-        nodes: AtomicU64::new(0),
-        exhausted: AtomicBool::new(false),
-    }))
+    Some(Arc::new(QueryBudget::new(budget)))
 }
 
 /// True when a limiting budget is installed (the cache layer routes

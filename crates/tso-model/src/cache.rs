@@ -222,107 +222,61 @@ pub fn allowed_outcomes_canonical(canon: &Canonical) -> CachedOutcomes {
     };
     if crate::budget::installed() {
         // A limiting budget might truncate the search, and a `OnceLock`
-        // cell cannot be un-populated — so budgeted queries take a path
-        // that only commits complete answers.
-        return budgeted_canonical(canon, &cell);
+        // cell cannot be un-populated — so budgeted queries only commit
+        // complete answers. Concurrent misses on the same key may each
+        // search while a budget is installed; results are unaffected.
+        if let Some(entry) = cell.get() {
+            return respond(canon, entry, None);
+        }
+        let fresh = miss(canon);
+        if !fresh.truncated {
+            let _ = cell.set(Arc::clone(&fresh.entry)); // a racing loser changes nothing
+        }
+        return respond(canon, &fresh.entry, Some(&fresh));
     }
-    let mut searched = false;
-    let mut prefix_hit = false;
-    let mut split = false;
+    // Concurrent misses on the same key collapse: one caller computes,
+    // the others block on the cell.
+    let mut fresh = None;
     let entry = Arc::clone(cell.get_or_init(|| {
-        // Memory miss: the persistent store (when installed) is the next
-        // tier — a store hit costs a lookup, not a search.
-        if let Some(store) = current_store() {
-            if let Some((outcomes, stats)) = store.load(canon.key()) {
-                STORE_HITS.fetch_add(1, Ordering::Relaxed);
-                return Arc::new(Entry { outcomes, stats });
-            }
-        }
-        searched = true;
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        // The certificate tier replays a masked-key sibling's pruned
-        // search when it can, and otherwise runs the recording adaptive
-        // engine (sequential below the split floor, fanned out above it).
-        let answer = crate::prefix::query(canon, exec_pool::default_workers());
-        prefix_hit = answer.prefix_hit;
-        split = answer.split;
-        if let Some(store) = current_store() {
-            store.save(
-                canon.key(),
-                canon.fingerprint(),
-                &answer.outcomes,
-                &answer.stats,
-            );
-        }
-        Arc::new(Entry {
-            outcomes: answer.outcomes,
-            stats: answer.stats,
-        })
+        let m = miss(canon);
+        let entry = Arc::clone(&m.entry);
+        fresh = Some(m);
+        entry
     }));
-    let outcomes = entry
-        .outcomes
-        .iter()
-        .map(|o| canon.outcome_to_original(o))
-        .collect();
-    CachedOutcomes {
-        outcomes,
-        stats: entry.stats,
-        hit: !searched,
-        prefix_hit,
-        split,
-        unknown: false,
-        fingerprint: canon.fingerprint(),
-    }
+    respond(canon, &entry, fresh.as_ref())
 }
 
-/// Builds a [`CachedOutcomes`] hit answer from a committed entry, mapped
-/// back into the caller's coordinates. Committed entries are always
-/// complete (truncated answers never reach a cell), hence `unknown:
-/// false`.
-fn from_entry(canon: &Canonical, entry: &Entry) -> CachedOutcomes {
-    CachedOutcomes {
-        outcomes: entry
-            .outcomes
-            .iter()
-            .map(|o| canon.outcome_to_original(o))
-            .collect(),
-        stats: entry.stats,
-        hit: true,
-        prefix_hit: false,
-        split: false,
-        unknown: false,
-        fingerprint: canon.fingerprint(),
-    }
+/// What answering a memory miss took.
+struct Miss {
+    entry: Arc<Entry>,
+    /// False when the persistent store answered.
+    searched: bool,
+    prefix_hit: bool,
+    split: bool,
+    /// A budget ran out: `entry` is a sound subset, never committed.
+    truncated: bool,
 }
 
-/// The budget-aware query path: same tiers as the `OnceLock` path
-/// (memory → persistent store → prefix/search), but a budget-exhausted
-/// search result is returned as an explicit *unknown* answer without
-/// being written to the cell, the [`VerdictStore`], or (via the
-/// `stopped_early` gate in [`crate::prefix`]) the certificate tier.
-/// Concurrent misses on the same key may each search — the miss-collapse
-/// optimization is traded away while a budget is installed, results are
-/// unaffected.
-fn budgeted_canonical(canon: &Canonical, cell: &Cell) -> CachedOutcomes {
-    if let Some(entry) = cell.get() {
-        return from_entry(canon, entry);
-    }
+/// Answers a memory miss through the lower tiers: the persistent store
+/// (when installed; a store hit costs a lookup, not a search), else the
+/// certificate tier — which replays a masked-key sibling's pruned search
+/// when it can, and otherwise runs the recording adaptive engine — whose
+/// complete answers are saved to the store.
+fn miss(canon: &Canonical) -> Miss {
     if let Some(store) = current_store() {
         if let Some((outcomes, stats)) = store.load(canon.key()) {
             STORE_HITS.fetch_add(1, Ordering::Relaxed);
-            let entry = Arc::new(Entry { outcomes, stats });
-            let answer = from_entry(canon, &entry);
-            let _ = cell.set(entry); // a racing loser changes nothing
-            return answer;
+            return Miss {
+                entry: Arc::new(Entry { outcomes, stats }),
+                searched: false,
+                prefix_hit: false,
+                split: false,
+                truncated: false,
+            };
         }
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
     let answer = crate::prefix::query(canon, exec_pool::default_workers());
-    let outcomes = answer
-        .outcomes
-        .iter()
-        .map(|o| canon.outcome_to_original(o))
-        .collect();
     let truncated = answer.stats.budget_exhausted;
     if !truncated {
         if let Some(store) = current_store() {
@@ -333,18 +287,34 @@ fn budgeted_canonical(canon: &Canonical, cell: &Cell) -> CachedOutcomes {
                 &answer.stats,
             );
         }
-        let _ = cell.set(Arc::new(Entry {
+    }
+    Miss {
+        entry: Arc::new(Entry {
             outcomes: answer.outcomes,
             stats: answer.stats,
-        }));
-    }
-    CachedOutcomes {
-        outcomes,
-        stats: answer.stats,
-        hit: false,
+        }),
+        searched: true,
         prefix_hit: answer.prefix_hit,
         split: answer.split,
-        unknown: truncated,
+        truncated,
+    }
+}
+
+/// Builds the caller's answer from `entry`, mapped back into the caller's
+/// coordinates. `fresh` is the miss this query answered itself, if any;
+/// without one the entry was already in memory.
+fn respond(canon: &Canonical, entry: &Entry, fresh: Option<&Miss>) -> CachedOutcomes {
+    CachedOutcomes {
+        outcomes: entry
+            .outcomes
+            .iter()
+            .map(|o| canon.outcome_to_original(o))
+            .collect(),
+        stats: entry.stats,
+        hit: !fresh.is_some_and(|m| m.searched),
+        prefix_hit: fresh.is_some_and(|m| m.prefix_hit),
+        split: fresh.is_some_and(|m| m.split),
+        unknown: fresh.is_some_and(|m| m.truncated),
         fingerprint: canon.fingerprint(),
     }
 }

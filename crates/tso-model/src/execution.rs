@@ -2,9 +2,10 @@
 //! (paper §2.1), with the derived relations `fr`, `rfe`, `com`, `ppo`, `bar`.
 //!
 //! Candidate executions are *produced* by the streaming search engine in
-//! [`crate::search`]; [`enumerate_candidates`] is kept as a compatibility
-//! wrapper that materializes every candidate (valid or not) into a `Vec`.
-//! Validity of a candidate is decided separately by
+//! [`crate::search`]. [`enumerate_candidates`] is its standalone reference
+//! oracle: a brute-force enumerator, sharing no code with the search, that
+//! materializes every candidate (valid or not) into a `Vec`. Validity of a
+//! candidate is decided separately by
 //! [`crate::validity::check_validity`].
 
 use crate::event::{Event, EventId, EventKind, RmwHalf, RmwId, RmwLink};
@@ -520,23 +521,113 @@ pub(crate) fn resolve_values(
     Some(values)
 }
 
-/// Enumerates every candidate execution of `program`: all `rf` choices ×
-/// all `ws` linearizations. Candidates with circular value dependencies are
-/// dropped (they can never be valid).
+/// Enumerates every candidate execution of `program`: all `ws`
+/// linearizations × all `rf` choices. Candidates with circular value
+/// dependencies are dropped (`resolve_values` rejects them; they can never
+/// be valid).
 ///
-/// This is a compatibility wrapper over the streaming engine in
-/// [`crate::search`], with pruning disabled — it materializes the complete
-/// candidate set (factorial in events per location) into a `Vec`. Prefer
-/// [`crate::search::for_each_valid_execution`] anywhere the valid
+/// This is the brute-force reference oracle for the pruned search in
+/// [`crate::search`] and shares no code with it: it materializes the
+/// complete candidate set (factorial in events per location) into a `Vec`.
+/// Prefer [`crate::search::for_each_valid_execution`] anywhere the valid
 /// executions are all that matters; litmus tests (≤ ~12 events) are the
 /// intended scale here.
 pub fn enumerate_candidates(program: &Program) -> Vec<CandidateExecution> {
+    let ctx = ExecCtx::new(build_events(program));
+    let events = &ctx.events;
+
+    // Every serialization of each location: its init write (events list
+    // those first), then one permutation of the location's other writes.
+    let mut writes: BTreeMap<Addr, Vec<EventId>> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.is_write()) {
+        let addr = e.addr.expect("write has addr");
+        writes.entry(addr).or_default().push(e.id);
+    }
+    let addrs: Vec<Addr> = writes.keys().copied().collect();
+    let ws_choices: Vec<Vec<Vec<EventId>>> = writes
+        .into_values()
+        .map(|mut order| {
+            let mut orders = Vec::new();
+            permute(&mut order, 1, &mut orders);
+            orders
+        })
+        .collect();
+
+    // Every source of each read: any write to its address except its own
+    // RMW's write half.
+    let reads: Vec<&Event> = events.iter().filter(|e| e.is_read()).collect();
+    let rf_choices: Vec<Vec<EventId>> = reads
+        .iter()
+        .map(|r| {
+            events
+                .iter()
+                .filter(|w| w.is_write() && w.addr == r.addr)
+                .filter(|w| !matches!((r.rmw, w.rmw), (Some(a), Some(b)) if a.rmw_id == b.rmw_id))
+                .map(|w| w.id)
+                .collect()
+        })
+        .collect();
+
     let mut out = Vec::new();
-    crate::search::for_each_candidate(program, |exec| {
-        out.push(exec.clone());
-        std::ops::ControlFlow::Continue(())
+    for_each_choice(&ws_choices, &mut |ws_pick| {
+        let ws: BTreeMap<Addr, Vec<EventId>> =
+            addrs.iter().copied().zip(ws_pick.iter().cloned()).collect();
+        for_each_choice(&rf_choices, &mut |rf_pick| {
+            let rf: BTreeMap<EventId, EventId> = reads
+                .iter()
+                .map(|r| r.id)
+                .zip(rf_pick.iter().copied())
+                .collect();
+            if let Some(values) = resolve_values(events, &rf) {
+                out.push(CandidateExecution::assemble(
+                    Arc::clone(&ctx),
+                    rf,
+                    ws.clone(),
+                    values,
+                ));
+            }
+        });
     });
     out
+}
+
+/// Pushes every permutation of `items[k..]` (behind the fixed `items[..k]`)
+/// onto `out`.
+fn permute(items: &mut Vec<EventId>, k: usize, out: &mut Vec<Vec<EventId>>) {
+    if k == items.len() {
+        out.push(items.clone());
+        return;
+    }
+    for i in k..items.len() {
+        items.swap(k, i);
+        permute(items, k + 1, out);
+        items.swap(k, i);
+    }
+}
+
+/// Calls `visit` with every way of picking one element from each list (a
+/// mixed-radix count, last list fastest). No lists means one empty pick.
+fn for_each_choice<T: Clone>(lists: &[Vec<T>], visit: &mut dyn FnMut(&[T])) {
+    if lists.iter().any(Vec::is_empty) {
+        return;
+    }
+    let mut digits = vec![0usize; lists.len()];
+    let mut pick: Vec<T> = lists.iter().map(|l| l[0].clone()).collect();
+    loop {
+        visit(&pick);
+        let mut i = lists.len();
+        loop {
+            if i == 0 {
+                return;
+            }
+            i -= 1;
+            digits[i] = (digits[i] + 1) % lists[i].len();
+            pick[i] = lists[i][digits[i]].clone();
+            if digits[i] != 0 {
+                break;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 use crate::event::EventId;
 use crate::execution::CandidateExecution;
 use crate::graph::DiGraph;
-use crate::validity::check_validity;
+use crate::validity::{atomicity_disjuncts, check_validity, Disjunct};
 
 /// True iff `a → b` holds in every valid `ghb` of this candidate.
 ///
@@ -71,32 +71,11 @@ fn constraint_graph(exec: &CandidateExecution) -> DiGraph {
 /// Enumerates *all* acyclic solutions of the atomicity disjunctions over the
 /// given base graph (exponential; litmus scale only).
 fn all_solutions_exist(exec: &CandidateExecution, mut base: DiGraph) -> Vec<DiGraph> {
-    struct D {
-        m: EventId,
-        ra: EventId,
-        wa: EventId,
-    }
-    let mut disjuncts = Vec::new();
-    for (_, ra, wa, link) in exec.rmws() {
-        let ra_addr = exec.event(ra).addr;
-        for e in exec.events() {
-            if !e.is_mem() || e.id == ra || e.id == wa {
-                continue;
-            }
-            if link
-                .atomicity
-                .forbids_between(e.is_write(), e.addr == ra_addr)
-            {
-                disjuncts.push(D { m: e.id, ra, wa });
-            }
-        }
-    }
-
-    fn go(graph: &mut DiGraph, ds: &[D], idx: usize, out: &mut Vec<DiGraph>) {
+    fn go(graph: &mut DiGraph, ds: &[Disjunct], out: &mut Vec<DiGraph>) {
         if !graph.is_acyclic() {
             return;
         }
-        let Some(d) = ds.get(idx) else {
+        let Some((d, rest)) = ds.split_first() else {
             out.push(graph.clone());
             return;
         };
@@ -105,7 +84,7 @@ fn all_solutions_exist(exec: &CandidateExecution, mut base: DiGraph) -> Vec<DiGr
             if !already {
                 graph.add_edge(u.index(), v.index());
             }
-            go(graph, ds, idx + 1, out);
+            go(graph, rest, out);
             if !already {
                 graph.remove_edge(u.index(), v.index());
             }
@@ -113,15 +92,8 @@ fn all_solutions_exist(exec: &CandidateExecution, mut base: DiGraph) -> Vec<DiGr
     }
 
     let mut out = Vec::new();
-    go(&mut base, &disjuncts, 0, &mut out);
+    go(&mut base, &atomicity_disjuncts(exec.events()), &mut out);
     out
-}
-
-/// Convenience: every *valid* candidate execution of a program, collected
-/// through the streaming, pruned search (thin wrapper used by the lemma
-/// tests — the lemma predicates themselves need random access to the set).
-pub fn valid_candidates(program: &crate::program::Program) -> Vec<CandidateExecution> {
-    crate::search::valid_executions(program)
 }
 
 #[cfg(test)]
@@ -129,6 +101,7 @@ mod tests {
     use super::*;
     use crate::event::RmwHalf;
     use crate::program::ProgramBuilder;
+    use crate::search::valid_executions;
     use rmw_types::{Addr, Atomicity, RmwKind, ThreadId};
 
     const X: Addr = Addr(0);
@@ -178,7 +151,7 @@ mod tests {
         // ordering can always be imposed (consistent) and its converse can
         // never be derived.
         let p = w1_rmw_r2(Atomicity::Type1);
-        let cands = valid_candidates(&p);
+        let cands = valid_executions(&p);
         assert!(!cands.is_empty());
         for c in &cands {
             let (w1, ra, wa, r2) = pattern_ids(c);
@@ -200,7 +173,7 @@ mod tests {
         // §2.4: a type-2 RMW does not explicitly enforce W1→Ra, Wa→R2 or
         // W1→R2 ...
         let p = w1_rmw_r2(Atomicity::Type2);
-        let cands = valid_candidates(&p);
+        let cands = valid_executions(&p);
         assert!(!cands.is_empty());
         let mut some_unenforced = (false, false, false);
         for c in &cands {
@@ -218,7 +191,7 @@ mod tests {
     fn lemma2_type2_rmw_disallows_ra_w1_and_r2_wa() {
         // ... but disallows deriving Ra→W1 and R2→Wa (Lemma 2, Fig. 6/7).
         let p = w1_rmw_r2(Atomicity::Type2);
-        for c in &valid_candidates(&p) {
+        for c in &valid_executions(&p) {
             let (w1, ra, wa, r2) = pattern_ids(c);
             assert!(
                 !ordering_derivable(c, ra, w1),
@@ -237,7 +210,7 @@ mod tests {
     fn lemma3_type3_rmw_disallows_ra_w1_only() {
         // Lemma 3: type-3 disallows Ra→W1 but may allow R2→Wa (Fig. 9).
         let p = w1_rmw_r2(Atomicity::Type3);
-        for c in &valid_candidates(&p) {
+        for c in &valid_executions(&p) {
             let (w1, ra, _wa, _r2) = pattern_ids(c);
             assert!(
                 !ordering_derivable(c, ra, w1),
@@ -264,7 +237,7 @@ mod tests {
             b.thread().write(Y, 1).fence().read(Z);
             let p = b.build();
             let mut derivable = false;
-            for c in &valid_candidates(&p) {
+            for c in &valid_executions(&p) {
                 let (_, _, wa, r2) = pattern_ids(c);
                 derivable |= ordering_derivable(c, r2, wa);
             }
@@ -311,7 +284,7 @@ mod tests {
             .read(Y);
         b.thread().write(Z, 7); // W'(z), conflicts with the RMW
         let p = b.build();
-        for c in &valid_candidates(&p) {
+        for c in &valid_executions(&p) {
             let (w1, ra, _, _) = pattern_ids(c);
             let wprime = c
                 .events()

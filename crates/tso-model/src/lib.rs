@@ -26,9 +26,11 @@
 //! on bitset digraphs. Valid executions stream through a visitor
 //! ([`for_each_valid_execution`]) with early exit
 //! ([`outcome_allowed`]) — this is the engine under the `litmus` corpus,
-//! the lemma-1/2/3 checks, and `cc11`'s mapping verification. The legacy
-//! [`enumerate_candidates`] survives as a materializing compatibility
-//! wrapper.
+//! the lemma-1/2/3 checks, and `cc11`'s mapping verification. Every
+//! search — whole-tree, parallel subtree task, or certificate replay — is
+//! that one DFS resumed from a decision prefix. [`enumerate_candidates`]
+//! is its independent reference oracle: a brute-force enumerator of every
+//! `ws` permutation × `rf` choice that shares no code with the search.
 //!
 //! Three layers scale that engine across cores and across a corpus
 //! (each observationally invisible — same sets, same verdicts, same
@@ -95,7 +97,7 @@ pub use outcome::{
 };
 pub use par::{
     allowed_outcomes_par, allowed_outcomes_par_with_stats, fold_valid_executions_par,
-    fold_valid_executions_split, outcome_allowed_par, valid_executions_par,
+    outcome_allowed_par, valid_executions_par,
 };
 pub use program::{Instr, Program, ProgramBuilder, ThreadBuilder};
 pub use search::{any_valid_execution, for_each_valid_execution, valid_executions, SearchStats};

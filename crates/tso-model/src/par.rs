@@ -6,53 +6,58 @@
 //! partition everything below into *independent* subtrees, so the parallel
 //! engine:
 //!
-//! 1. expands those levels sequentially (`search::split_prefixes`) into viable
-//!    decision prefixes, in exactly the order the sequential DFS visits
-//!    the corresponding subtrees (for `ws`-trivial programs the split
-//!    extends into the `rf` levels, so reads-heavy litmus shapes
-//!    parallelize too);
+//! 1. runs the ordinary DFS to a depth cutoff (`search::split_prefixes`),
+//!    recording the viable decision prefixes there in exactly the order
+//!    the sequential DFS visits the corresponding subtrees (for
+//!    `ws`-trivial programs the cutoff reaches into the `rf` levels, so
+//!    reads-heavy litmus shapes parallelize too);
 //! 2. fans the prefixes out as tasks on an [`exec_pool`] worker pool
 //!    (stable task indexing — results come back in subtree order no
 //!    matter how workers interleave);
-//! 3. merges deterministically: per-task accumulators are combined in
-//!    task order, and per-task [`SearchStats`] are summed onto the split
-//!    stats, which reproduces the sequential engine's decision counters
-//!    *bit-for-bit at any worker count*.
+//! 3. merges deterministically: per-task accumulators (and complete-leaf
+//!    logs) are combined in task order, and per-task [`SearchStats`] are
+//!    summed onto the split stats, which reproduces the sequential
+//!    engine's decision counters *bit-for-bit at any worker count*.
 //!
 //! Early exit ([`outcome_allowed_par`]) uses a shared [`AtomicBool`]: the
 //! task that finds a witness raises it, every other task aborts at its
 //! next decision node, and the pool drains unstarted tasks without
 //! running them.
 //!
+//! Both [`fold_valid_executions_par`] and the recording search behind the
+//! verdict cache ([`crate::prefix`]) go through one adaptive policy
+//! (`split_target`) and one split-and-merge body (`split_and_merge`); a
+//! target of one task is the sequential engine, run inline on the calling
+//! thread.
+//!
 //! # Adaptive policy
 //!
 //! Fanning out is not free: the split phase, per-task base-graph clones,
 //! and thread handoff cost a fixed overhead that small subtrees never
 //! amortize — the seed's BENCH_model.json showed 0.23–0.97× *slowdowns*
-//! on every small shape. The public entry points are therefore
-//! *adaptive*: they predict the sequential cost from
-//! `SearchCtx::estimate_nodes` (the unpruned decision-tree size) divided
-//! by a nodes-per-µs rate calibrated once per process
-//! (`estimated_nodes_per_us`), stay fully sequential below
-//! `MIN_SPLIT_EST_US` (and always on single-hardware-thread hosts,
-//! where fan-out can only lose), and above it pick a split target so
-//! each prefix task carries at least `MIN_TASK_EST_US` of predicted
-//! work. The
-//! sequential fallback reports `tasks = workers = 1`; the decision
-//! counters are engine-independent either way, so results and stats stay
-//! bit-identical to the sequential engine. The always-split engine
-//! remains available as [`fold_valid_executions_split`] for equivalence
-//! tests and scaling benches.
+//! on every small shape. The policy therefore predicts the sequential
+//! cost from `SearchCtx::estimate_nodes` (the unpruned decision-tree size)
+//! divided by a nodes-per-µs rate calibrated once per process
+//! (`estimated_nodes_per_us`), stays fully sequential below
+//! `MIN_SPLIT_EST_US` (and always on single-hardware-thread hosts, where
+//! fan-out can only lose), and above it picks a split target so each
+//! prefix task carries at least `MIN_TASK_EST_US` of predicted work. The
+//! sequential case reports `tasks = workers = 1`; the decision counters
+//! are engine-independent either way, so results and stats stay
+//! bit-identical to the sequential engine.
 //!
-//! The sequential engine remains the reference implementation;
-//! `tests/par_equiv.rs` asserts both yield identical execution sequences,
-//! outcome sets, verdicts, and decision stats over the full litmus
-//! corpora and random programs at 1, 2, and 8 workers.
+//! The sequential engine remains the reference implementation:
+//! `tests/par_equiv.rs` asserts the public entry points yield identical
+//! execution sequences, outcome sets, verdicts, and decision stats over
+//! the full litmus corpora and random programs at 1, 2, and 8 workers,
+//! and this module's split proptest drives the split-and-merge body at
+//! forced split targets, where the adaptive policy would stay sequential.
 
+use crate::budget::QueryBudget;
 use crate::execution::CandidateExecution;
 use crate::outcome::Outcome;
 use crate::program::{Program, ProgramBuilder};
-use crate::search::{self, for_each_valid_execution, Prefix, SearchCtx, SearchStats};
+use crate::search::{self, Prefix, SearchCtx, SearchStats};
 use rmw_types::fasthash::FastHashSet;
 use rmw_types::{Addr, Value};
 use std::collections::BTreeSet;
@@ -117,7 +122,7 @@ fn estimated_nodes_per_us() -> f64 {
         for _ in 0..3 {
             let t0 = Instant::now();
             let mut sink = |_: &CandidateExecution| ControlFlow::Continue(());
-            let _ = search::run_ctx(&sc, &mut sink, None);
+            let _ = search::run_prefix(&sc, &Prefix::default(), &mut sink, None, None, None);
             let us = t0.elapsed().as_secs_f64() * 1e6;
             best = best.max(est / us.max(1.0));
         }
@@ -131,23 +136,30 @@ pub(crate) fn predicted_us(sc: &SearchCtx) -> f64 {
     sc.estimate_nodes() as f64 / estimated_nodes_per_us()
 }
 
-/// Worker count the *adaptive* engines plan with: `requested` clamped by
+/// Worker count the adaptive engine plans with: `requested` clamped by
 /// [`exec_pool::effective_workers`] and by the host's available
 /// parallelism. On a single-hardware-thread host splitting can only lose
 /// (every task still runs serially, plus fan-out overhead), so the
 /// adaptive policy treats such hosts as `workers = 1` and stays
-/// sequential no matter what was requested. The forced split engine
-/// ([`fold_valid_executions_split`]) deliberately does *not* apply this
-/// cap — equivalence tests need the split path exercised everywhere.
+/// sequential no matter what was requested.
 fn adaptive_workers(requested: usize) -> usize {
     static HW: OnceLock<usize> = OnceLock::new();
     let hw = *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     exec_pool::effective_workers(requested).min(hw)
 }
 
-/// Split target for a shape predicted to cost `est_us`: capped both by
+/// The adaptive policy: how many subtree tasks to split `sc`'s tree into
+/// on `workers` threads. 1 — the whole tree as one task, run inline — on
+/// a single worker or below the split floor; above it, capped both by
 /// worker appetite and by the per-task work floor.
-fn split_target(workers: usize, est_us: f64) -> usize {
+fn split_target(sc: &SearchCtx, workers: usize) -> usize {
+    if workers <= 1 {
+        return 1;
+    }
+    let est_us = predicted_us(sc);
+    if est_us < MIN_SPLIT_EST_US {
+        return 1;
+    }
     let cap = (est_us / MIN_TASK_EST_US) as usize;
     (workers * TASKS_PER_WORKER).min(cap.max(2))
 }
@@ -163,8 +175,8 @@ fn split_target(workers: usize, est_us: f64) -> usize {
 /// the sequential engine's at any worker count; `tasks`/`workers` report
 /// the parallel plumbing. `workers` is clamped by
 /// [`exec_pool::effective_workers`] (nested pools run sequentially), and
-/// `workers <= 1` falls through to the sequential engine with a single
-/// accumulator.
+/// shapes the adaptive policy keeps sequential run as a single task with
+/// a single accumulator on the calling thread.
 pub fn fold_valid_executions_par<T, A, F>(
     program: &Program,
     workers: usize,
@@ -177,59 +189,30 @@ where
     F: Fn(&mut T, &CandidateExecution) -> ControlFlow<()> + Sync,
 {
     let workers = adaptive_workers(workers);
-    if workers <= 1 {
-        let mut acc = make();
-        let stats = for_each_valid_execution(program, |exec| fold(&mut acc, exec));
-        return (vec![acc], stats);
-    }
-
     let sc = search::build_ctx(program);
-    let est_us = predicted_us(&sc);
-    if est_us < MIN_SPLIT_EST_US {
-        // Too small to amortize fan-out: run sequentially on the calling
-        // thread (same context, same stats, `tasks = workers = 1`).
-        let mut acc = make();
-        let stats = search::run_ctx(&sc, &mut |exec| fold(&mut acc, exec), None);
-        return (vec![acc], stats);
-    }
-    split_from_ctx(&sc, workers, split_target(workers, est_us), &make, &fold)
+    let target = split_target(&sc, workers);
+    let (accs, stats, _) = split_and_merge(&sc, workers, target, make, fold, false, None);
+    (accs, stats)
 }
 
-/// The always-split engine: fans out over `workers` regardless of shape
-/// size, exactly as [`fold_valid_executions_par`] did before the adaptive
-/// policy. Kept public for the `par_equiv` equivalence suite and the
-/// `model_scaling` bench, which need the split path exercised on shapes
-/// the adaptive policy would run sequentially. `workers <= 1` still falls
-/// through to the sequential engine.
-pub fn fold_valid_executions_split<T, A, F>(
-    program: &Program,
-    workers: usize,
-    make: A,
-    fold: F,
-) -> (Vec<T>, SearchStats)
-where
-    T: Send,
-    A: Fn() -> T + Sync,
-    F: Fn(&mut T, &CandidateExecution) -> ControlFlow<()> + Sync,
-{
-    let workers = exec_pool::effective_workers(workers);
-    if workers <= 1 {
-        let mut acc = make();
-        let stats = for_each_valid_execution(program, |exec| fold(&mut acc, exec));
-        return (vec![acc], stats);
-    }
-    let sc = search::build_ctx(program);
-    split_from_ctx(&sc, workers, workers * TASKS_PER_WORKER, &make, &fold)
-}
-
-/// The shared split-and-merge body behind both fold entry points.
-fn split_from_ctx<T, A, F>(
+/// The one split-and-merge body behind every entry point. Splits `sc`'s
+/// tree into about `target` subtree tasks (`search::split_prefixes`),
+/// runs them on `workers` pool threads, and merges in task order: the
+/// accumulators come back in sequential DFS order, task stats are summed
+/// onto the split's, and — when `record` is set — the tasks' complete-leaf
+/// logs concatenate into the sequential DFS leaf order. A `Break` from
+/// `fold` raises the shared stop flag, which every other task checks at
+/// its next decision node; `budget` is charged by every task's decision
+/// nodes (exhaustion stops each task on its own, not through the flag).
+fn split_and_merge<T, A, F>(
     sc: &SearchCtx,
     workers: usize,
     target: usize,
-    make: &A,
-    fold: &F,
-) -> (Vec<T>, SearchStats)
+    make: A,
+    fold: F,
+    record: bool,
+    budget: Option<&QueryBudget>,
+) -> (Vec<T>, SearchStats, Vec<Prefix>)
 where
     T: Send,
     A: Fn() -> T + Sync,
@@ -239,23 +222,33 @@ where
     let stop = AtomicBool::new(false);
     let results = exec_pool::run_indexed(workers, prefixes.len(), &stop, |_worker, i| {
         let mut acc = make();
-        let mut visitor = |exec: &CandidateExecution| match fold(&mut acc, exec) {
-            ControlFlow::Continue(()) => ControlFlow::Continue(()),
-            ControlFlow::Break(()) => {
+        let mut leaves = Vec::new();
+        let mut visitor = |exec: &CandidateExecution| {
+            let flow = fold(&mut acc, exec);
+            if flow.is_break() {
                 stop.store(true, Ordering::Relaxed);
-                ControlFlow::Break(())
             }
+            flow
         };
-        let task_stats = search::run_prefix(sc, &prefixes[i], &mut visitor, Some(&stop));
-        (acc, task_stats)
+        let task_stats = search::run_prefix(
+            sc,
+            &prefixes[i],
+            &mut visitor,
+            Some(&stop),
+            record.then_some(&mut leaves),
+            budget,
+        );
+        (acc, leaves, task_stats)
     });
 
     let mut accs = Vec::with_capacity(results.len());
+    let mut leaves = Vec::new();
     for result in results {
         match result {
-            Some((acc, task_stats)) => {
+            Some((acc, task_leaves, task_stats)) => {
                 stats.absorb(&task_stats);
                 accs.push(acc);
+                leaves.extend(task_leaves);
             }
             // Drained without running: the stop flag fired first.
             None => stats.stopped_early = true,
@@ -266,7 +259,7 @@ where
     // subtrees than workers leaves the surplus threads idle (or runs
     // inline when there is a single task).
     stats.workers = workers.min(prefixes.len().max(1)) as u64;
-    (accs, stats)
+    (accs, stats, leaves)
 }
 
 /// Parallel [`allowed_outcomes`](crate::outcome::allowed_outcomes): the
@@ -300,77 +293,36 @@ pub fn allowed_outcomes_par_with_stats(
 
 /// [`allowed_outcomes_par`] that additionally records the decision path
 /// of every complete leaf, in sequential DFS order — the capture side of
-/// prefix certificates ([`crate::prefix`]). The adaptive policy applies:
-/// small shapes record on the sequential engine; large shapes split, and
-/// the per-task leaf logs concatenated in task order reproduce the
-/// sequential DFS leaf order exactly (the same argument that makes
-/// [`valid_executions_par`] order-exact).
+/// prefix certificates ([`crate::prefix`]). Runs under the installed
+/// [`SearchBudget`](crate::budget::SearchBudget), if any, with the same
+/// adaptive policy and split-and-merge body as
+/// [`fold_valid_executions_par`].
 pub(crate) fn allowed_outcomes_recording(
     program: &Program,
     workers: usize,
 ) -> (BTreeSet<Outcome>, SearchStats, Vec<Prefix>) {
     let workers = adaptive_workers(workers);
     let sc = search::build_ctx(program);
-    let est_us = predicted_us(&sc);
+    let target = split_target(&sc, workers);
     // One shared budget accounting for the whole query, across every
     // subtree task (`None` when no limiting budget is installed — the
-    // common case, where the engine below is bit-identical to pre-budget
-    // behavior). The calibration inside `predicted_us` above runs through
-    // the un-budgeted `run_ctx`, so a tight budget cannot skew the rate.
+    // common case, where the engine is bit-identical to pre-budget
+    // behavior). It starts after the calibration inside `split_target`,
+    // which runs un-budgeted, so a tight budget cannot skew the rate.
     let budget = crate::budget::begin_query();
-    if workers <= 1 || est_us < MIN_SPLIT_EST_US {
-        let mut set = FastHashSet::<Outcome>::default();
-        let mut leaves = Vec::new();
-        let stats = search::run_ctx_budgeted(
-            &sc,
-            &mut |exec| {
-                set.insert(Outcome::of_execution(exec));
-                ControlFlow::Continue(())
-            },
-            Some(&mut leaves),
-            budget.as_deref(),
-        );
-        let mut out = BTreeSet::new();
-        out.extend(set);
-        return (out, stats, leaves);
-    }
-
-    let (prefixes, mut stats) = search::split_prefixes(&sc, split_target(workers, est_us));
-    let stop = AtomicBool::new(false);
-    let results = exec_pool::run_indexed(workers, prefixes.len(), &stop, |_worker, i| {
-        let mut set = FastHashSet::<Outcome>::default();
-        let mut leaves = Vec::new();
-        let mut visitor = |exec: &CandidateExecution| {
+    let (sets, stats, leaves) = split_and_merge(
+        &sc,
+        workers,
+        target,
+        FastHashSet::<Outcome>::default,
+        |set, exec| {
             set.insert(Outcome::of_execution(exec));
             ControlFlow::Continue(())
-        };
-        // Budget exhaustion is signalled through the shared `QueryBudget`
-        // (not the pool stop flag), so every task still runs — each
-        // aborts at its own next decision node and reports its stats.
-        let task_stats = search::run_prefix_with(
-            &sc,
-            &prefixes[i],
-            &mut visitor,
-            Some(&stop),
-            Some(&mut leaves),
-            budget.as_deref(),
-        );
-        (set, leaves, task_stats)
-    });
-
-    let mut out = BTreeSet::new();
-    let mut leaves = Vec::new();
-    for result in results {
-        // No early exit here, so the stop flag never fires and every task
-        // runs to completion.
-        let (set, task_leaves, task_stats) = result.expect("recording search never stops early");
-        stats.absorb(&task_stats);
-        out.extend(set);
-        leaves.extend(task_leaves);
-    }
-    stats.tasks = prefixes.len() as u64;
-    stats.workers = workers.min(prefixes.len().max(1)) as u64;
-    (out, stats, leaves)
+        },
+        true,
+        budget.as_deref(),
+    );
+    (sets.into_iter().flatten().collect(), stats, leaves)
 }
 
 /// Parallel [`valid_executions`](crate::search::valid_executions): because
@@ -414,9 +366,11 @@ pub fn outcome_allowed_par(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::SearchBudget;
     use crate::outcome::allowed_outcomes;
-    use crate::program::ProgramBuilder;
-    use crate::search::valid_executions;
+    use crate::program::{Instr, ProgramBuilder};
+    use crate::search::{for_each_valid_execution, valid_executions};
+    use proptest::prelude::*;
     use rmw_types::{Addr, Atomicity, RmwKind};
 
     const X: Addr = Addr(0);
@@ -504,28 +458,110 @@ mod tests {
         assert_eq!((stats.tasks, stats.workers), (1, 1));
     }
 
-    #[test]
-    fn forced_split_matches_sequential_on_small_shapes() {
-        // The always-split engine keeps the split path testable on shapes
-        // the adaptive policy runs sequentially.
-        let p = mixed_program();
-        let seq = allowed_outcomes(&p);
-        for workers in [2, 8] {
-            let (sets, stats) = fold_valid_executions_split(
-                &p,
-                workers,
-                FastHashSet::<Outcome>::default,
-                |set, exec| {
-                    set.insert(Outcome::of_execution(exec));
+    /// Random programs over three addresses mixing reads, writes, RMWs of
+    /// every atomicity, and fences.
+    fn arb_program() -> impl Strategy<Value = Program> {
+        let instr = prop_oneof![
+            (0u64..3).prop_map(|a| Instr::Read(Addr(a))),
+            ((0u64..3), (1u64..3)).prop_map(|(a, v)| Instr::Write(Addr(a), v)),
+            ((0u64..3), (0usize..3)).prop_map(|(a, t)| Instr::Rmw {
+                addr: Addr(a),
+                kind: RmwKind::FetchAndAdd(1),
+                atomicity: Atomicity::ALL[t],
+            }),
+            Just(Instr::Fence),
+        ];
+        let thread = proptest::collection::vec(instr, 1..4);
+        proptest::collection::vec(thread, 1..4).prop_map(|threads| {
+            let mut p = Program::new();
+            for t in threads {
+                p.add_thread(t);
+            }
+            p
+        })
+    }
+
+    /// The split-and-merge body at a forced `target` (the adaptive policy
+    /// would run these shapes sequentially), recording leaves: the
+    /// outcome of every yielded execution in merge order, the stats, and
+    /// the leaf log.
+    fn forced_split(
+        p: &Program,
+        workers: usize,
+        target: usize,
+        budget: Option<&QueryBudget>,
+    ) -> (Vec<Outcome>, SearchStats, Vec<Prefix>) {
+        let sc = search::build_ctx(p);
+        let (chunks, stats, leaves) = split_and_merge(
+            &sc,
+            workers,
+            target,
+            Vec::new,
+            |out: &mut Vec<Outcome>, exec| {
+                out.push(Outcome::of_execution(exec));
+                ControlFlow::Continue(())
+            },
+            true,
+            budget,
+        );
+        (chunks.into_iter().flatten().collect(), stats, leaves)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn forced_splits_reproduce_the_sequential_engine(p in arb_program()) {
+            let sc = search::build_ctx(&p);
+            let mut seq_yield = Vec::new();
+            let mut seq_leaves = Vec::new();
+            let seq = search::run_prefix(
+                &sc,
+                &Prefix::default(),
+                &mut |exec| {
+                    seq_yield.push(Outcome::of_execution(exec));
                     ControlFlow::Continue(())
                 },
+                None,
+                Some(&mut seq_leaves),
+                None,
             );
-            let mut par = BTreeSet::new();
-            for set in sets {
-                par.extend(set);
+            for workers in [2, 8] {
+                for target in [2, 5, 64, usize::MAX] {
+                    let (yielded, stats, leaves) = forced_split(&p, workers, target, None);
+                    prop_assert_eq!(&yielded, &seq_yield);
+                    prop_assert_eq!(
+                        (stats.nodes, stats.pruned, stats.complete, stats.valid),
+                        (seq.nodes, seq.pruned, seq.complete, seq.valid)
+                    );
+                    prop_assert_eq!(&leaves, &seq_leaves);
+                    prop_assert!(!stats.stopped_early);
+                }
             }
-            assert_eq!(par, seq, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn a_budget_truncates_a_forced_split_to_a_subset() {
+        // Both locations have two cross-thread writes, so the split finds
+        // several viable subtrees.
+        let mut b = ProgramBuilder::new();
+        b.thread().write(X, 1).read(Y).write(Y, 2).read(X);
+        b.thread().write(Y, 1).read(X).write(X, 2).read(Y);
+        let p = b.build();
+        let full: BTreeSet<Outcome> = allowed_outcomes(&p);
+        let seq = for_each_valid_execution(&p, |_| ControlFlow::Continue(()));
+        for workers in [2, 8] {
+            let budget = QueryBudget::new(SearchBudget {
+                max_nodes: Some(20),
+                max_time: None,
+            });
+            let (yielded, stats, leaves) = forced_split(&p, workers, 16, Some(&budget));
             assert!(stats.tasks > 1, "forced split must fan out");
+            assert!(stats.budget_exhausted && stats.stopped_early, "{stats:?}");
+            assert!(stats.nodes < seq.nodes, "truncated search explores less");
+            assert!(yielded.iter().all(|o| full.contains(o)));
+            assert!((leaves.len() as u64) < seq.complete);
         }
     }
 

@@ -289,6 +289,8 @@ pub(crate) fn query(canon: &Canonical, workers: usize) -> PrefixAnswer {
                         std::ops::ControlFlow::Continue(())
                     },
                     None,
+                    None,
+                    None,
                 ));
             }
             debug_assert_eq!(stats.complete, cert.complete);

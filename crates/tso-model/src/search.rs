@@ -3,7 +3,7 @@
 //! [`outcome_allowed`](crate::outcome::outcome_allowed), the litmus
 //! verdicts, and `cc11`'s mapping verification.
 //!
-//! The legacy enumerator ([`crate::execution::enumerate_candidates`])
+//! The reference enumerator ([`crate::execution::enumerate_candidates`])
 //! materializes every `rf × ws` assignment into a `Vec` and filters
 //! afterwards, so both time and peak memory grow factorially with events
 //! per location. This module instead assigns `rf` and `ws` *incrementally*
@@ -29,29 +29,29 @@
 //! All three checks are *sound* for pruning: a completion only ever adds
 //! edges to the partial graphs, so a cyclic partial state can never reach
 //! a valid leaf. At a complete assignment the remaining existential — the
-//! per-RMW atomicity disjunctions — is solved exactly as before
-//! ([`crate::validity`]), so the set of executions yielded here is
-//! *identical* to filtering the legacy enumeration with `check_validity`.
+//! per-RMW atomicity disjunctions — is solved by [`crate::validity`], so
+//! the set of executions yielded here is *identical* to filtering the
+//! reference enumeration with `check_validity` (`tests/search_equiv.rs`).
 //!
 //! Valid executions are yielded through a visitor
 //! ([`for_each_valid_execution`]); returning [`ControlFlow::Break`] stops
 //! the search, which is what gives `outcome_allowed` its early exit.
 //!
-//! # Parallelism hooks
+//! # One DFS, run from a decision prefix
 //!
-//! The decision tree has an exploitable shape: the first few decision
-//! levels partition the remaining search into *independent* subtrees. The
-//! crate-private primitives at the bottom of this module —
-//! `build_ctx` (the immutable per-program context), `split_prefixes`
-//! (a bounded DFS over the first `ws`-placement — and, for `ws`-trivial
-//! programs, `rf` — levels, yielding viable decision prefixes in exactly
-//! the order the sequential engine would visit them), and `run_prefix`
-//! (replay a prefix, then resume the ordinary DFS below it, with an
-//! optional cooperative stop flag) — are what [`crate::par`] fans out over
-//! the shared `exec-pool` workers. The split counts decision nodes
-//! exactly as the sequential engine would for those levels, so
-//! `split stats + Σ task stats` equals the sequential [`SearchStats`]
-//! identically, at any task granularity.
+//! Every search in the crate is the same DFS, entered through the
+//! crate-private `run_prefix`: replay a decision prefix (its first `ws`
+//! placements and `rf` choices), then resume the DFS below it. An empty
+//! prefix is the whole tree ([`for_each_valid_execution`]); a full-depth
+//! prefix goes straight to one leaf (certificate replay, [`crate::prefix`]);
+//! anything in between is one subtree task of the parallel engine
+//! ([`crate::par`]). `split_prefixes` makes those tasks by running the same
+//! DFS to a depth cutoff, where it records the current decision path and
+//! backtracks instead of descending. It therefore visits, prunes and counts
+//! the top levels exactly as a whole-tree search does, in the same order,
+//! so `split stats + Σ task stats` equals the sequential [`SearchStats`]
+//! at any task granularity. Recording the path at every complete leaf
+//! instead gives the leaf log of a prefix certificate.
 
 use crate::budget::QueryBudget;
 use crate::event::{EventId, RmwHalf};
@@ -61,7 +61,7 @@ use crate::execution::{
 };
 use crate::graph::DiGraph;
 use crate::program::Program;
-use crate::validity::{atomicity_disjuncts, solve_ato, Disjunct, Validity};
+use crate::validity::{atomicity_disjuncts, solve_ato, Disjunct};
 use rmw_types::Addr;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -73,10 +73,11 @@ use std::sync::Arc;
 /// The decision-tree counters (`nodes`, `pruned`, `complete`, `valid`) are
 /// *engine-independent*: the parallel root-split engine ([`crate::par`])
 /// reports exactly the sequential engine's numbers at every worker count
-/// (asserted by `tests/par_equiv.rs`), because the split phase counts the
-/// top-of-tree decisions once and each subtree task counts only its own.
-/// `tasks`/`workers` describe the parallel plumbing and legitimately vary
-/// with the worker count (both are 1 on the sequential engine).
+/// (asserted by `tests/par_equiv.rs` and the split proptest in `par.rs`),
+/// because the split phase counts the top-of-tree decisions once and each
+/// subtree task counts only its own. `tasks`/`workers` describe the
+/// parallel plumbing and legitimately vary with the worker count (both
+/// are 1 on the sequential engine).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Partial-assignment decision nodes explored (one per `ws` placement
@@ -84,8 +85,9 @@ pub struct SearchStats {
     pub nodes: u64,
     /// Branches cut by incremental pruning before reaching a leaf.
     pub pruned: u64,
-    /// Complete `rf × ws` assignments reached (the legacy enumerator
-    /// materializes one candidate per such leaf).
+    /// Complete `rf × ws` assignments reached: candidates of the reference
+    /// enumerator that survived pruning and had their atomicity
+    /// disjunctions solved.
     pub complete: u64,
     /// Valid executions yielded to the visitor.
     pub valid: u64,
@@ -122,18 +124,6 @@ impl SearchStats {
     }
 }
 
-/// What the search yields and how aggressively it prunes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Prune doomed branches; yield only valid executions.
-    ValidOnly,
-    /// No graph pruning (only circular value dependencies are dropped, as
-    /// the legacy enumerator does); yield every complete candidate. Backs
-    /// the [`enumerate_candidates`](crate::execution::enumerate_candidates)
-    /// compatibility wrapper.
-    AllCandidates,
-}
-
 /// Visits every **valid** execution of `program` in a streaming fashion —
 /// nothing is materialized beyond the single execution handed to the
 /// visitor. Return [`ControlFlow::Break`] to stop the search early.
@@ -146,7 +136,8 @@ pub fn for_each_valid_execution<F>(program: &Program, mut visitor: F) -> SearchS
 where
     F: FnMut(&CandidateExecution) -> ControlFlow<()>,
 {
-    run(program, Mode::ValidOnly, &mut visitor)
+    let sc = build_ctx(program);
+    run_prefix(&sc, &Prefix::default(), &mut visitor, None, None, None)
 }
 
 /// Early-exit search: true iff some valid execution satisfies `pred`.
@@ -181,16 +172,6 @@ pub fn valid_executions(program: &Program) -> Vec<CandidateExecution> {
     out
 }
 
-/// Visits every candidate execution, valid or not (pruning off, matching
-/// the legacy enumeration semantics: only circular value dependencies are
-/// dropped). Backs the `enumerate_candidates` compatibility wrapper.
-pub(crate) fn for_each_candidate<F>(program: &Program, mut visitor: F) -> SearchStats
-where
-    F: FnMut(&CandidateExecution) -> ControlFlow<()>,
-{
-    run(program, Mode::AllCandidates, &mut visitor)
-}
-
 /// One location's write set: address, implicit initial write, and the
 /// non-init writes to serialize after it.
 struct LocWrites {
@@ -202,7 +183,6 @@ struct LocWrites {
 /// never writes. Shared by reference across the parallel subtree tasks.
 pub(crate) struct SearchCtx {
     ctx: Arc<ExecCtx>,
-    mode: Mode,
     locs: Vec<LocWrites>,
     reads: Vec<EventId>,
     rf_choices: Vec<Vec<EventId>>,
@@ -217,124 +197,109 @@ pub(crate) struct SearchCtx {
     base_ws: BTreeMap<Addr, Vec<EventId>>,
 }
 
-/// Builds the search context for the valid-only (pruned) engine — the
-/// parallel front end in [`crate::par`] starts here.
+/// Builds the immutable search context of `program`.
 pub(crate) fn build_ctx(program: &Program) -> SearchCtx {
-    SearchCtx::build(program, Mode::ValidOnly)
-}
+    let events = build_events(program);
+    let n = events.len();
 
-impl SearchCtx {
-    fn build(program: &Program, mode: Mode) -> SearchCtx {
-        let events = build_events(program);
-        let n = events.len();
+    // Candidate rf sources per read: writes to the same address, except
+    // the read's own RMW write half ("Ra reads an earlier value, not
+    // Wa's").
+    let reads: Vec<EventId> = events
+        .iter()
+        .filter(|e| e.is_read())
+        .map(|e| e.id)
+        .collect();
+    let rf_choices: Vec<Vec<EventId>> = reads
+        .iter()
+        .map(|&r| {
+            let er = &events[r.index()];
+            events
+                .iter()
+                .filter(|w| w.is_write() && w.addr == er.addr)
+                .filter(|w| match (er.rmw, w.rmw) {
+                    (Some(lr), Some(lw)) => lr.rmw_id != lw.rmw_id,
+                    _ => true,
+                })
+                .map(|w| w.id)
+                .collect()
+        })
+        .collect();
 
-        // Candidate rf sources per read: writes to the same address, except
-        // the read's own RMW write half ("Ra reads an earlier value, not
-        // Wa's").
-        let reads: Vec<EventId> = events
-            .iter()
-            .filter(|e| e.is_read())
-            .map(|e| e.id)
-            .collect();
-        let rf_choices: Vec<Vec<EventId>> = reads
-            .iter()
-            .map(|&r| {
-                let er = &events[r.index()];
-                events
-                    .iter()
-                    .filter(|w| w.is_write() && w.addr == er.addr)
-                    .filter(|w| match (er.rmw, w.rmw) {
-                        (Some(lr), Some(lw)) => lr.rmw_id != lw.rmw_id,
-                        _ => true,
-                    })
-                    .map(|w| w.id)
-                    .collect()
-            })
-            .collect();
-
-        // Per-location write sets, keyed by the (sorted) initial writes.
-        let mut by_addr: BTreeMap<Addr, (EventId, Vec<EventId>)> = events
-            .iter()
-            .filter(|e| e.is_init())
-            .map(|e| (e.addr.expect("init write has addr"), (e.id, Vec::new())))
-            .collect();
-        for e in &events {
-            if e.is_write() && !e.is_init() {
-                by_addr
-                    .get_mut(&e.addr.expect("write has addr"))
-                    .expect("every address has an init write")
-                    .1
-                    .push(e.id);
-            }
-        }
-
-        // Fixed graph parts. The init write precedes every other write of
-        // its location in every candidate, so those `ws` edges are part of
-        // the base.
-        let (base_ghb, base_uni) = if mode == Mode::ValidOnly {
-            let mut ghb = ppo_graph_of(&events);
-            ghb.union_with(&bar_graph_of(&events));
-            let mut uni = poloc_graph_of(&events);
-            for (init, ws_writes) in by_addr.values() {
-                for &w in ws_writes {
-                    ghb.add_edge(init.index(), w.index());
-                    uni.add_edge(init.index(), w.index());
-                }
-            }
-            (ghb, uni)
-        } else {
-            (DiGraph::new(n), DiGraph::new(n))
-        };
-
-        // Value dependencies internal to each RMW: Wa's value is computed
-        // from what Ra read.
-        let mut base_dep = DiGraph::new(n);
-        {
-            let mut ra_of: BTreeMap<usize, EventId> = BTreeMap::new();
-            for e in &events {
-                if let Some(l) = e.rmw {
-                    if l.half == RmwHalf::Read {
-                        ra_of.insert(l.rmw_id.0, e.id);
-                    }
-                }
-            }
-            for e in &events {
-                if let Some(l) = e.rmw {
-                    if l.half == RmwHalf::Write {
-                        base_dep.add_edge(ra_of[&l.rmw_id.0].index(), e.id.index());
-                    }
-                }
-            }
-        }
-
-        let base_ws: BTreeMap<Addr, Vec<EventId>> = by_addr
-            .iter()
-            .map(|(&a, (init, _))| (a, vec![*init]))
-            .collect();
-        let locs: Vec<LocWrites> = by_addr
-            .into_iter()
-            .map(|(addr, (_, writes))| LocWrites { addr, writes })
-            .collect();
-        let disjuncts = if mode == Mode::ValidOnly {
-            atomicity_disjuncts(&events)
-        } else {
-            Vec::new()
-        };
-
-        SearchCtx {
-            ctx: ExecCtx::new(events),
-            mode,
-            locs,
-            reads,
-            rf_choices,
-            disjuncts,
-            base_ghb,
-            base_uni,
-            base_dep,
-            base_ws,
+    // Per-location write sets, keyed by the (sorted) initial writes.
+    let mut by_addr: BTreeMap<Addr, (EventId, Vec<EventId>)> = events
+        .iter()
+        .filter(|e| e.is_init())
+        .map(|e| (e.addr.expect("init write has addr"), (e.id, Vec::new())))
+        .collect();
+    for e in &events {
+        if e.is_write() && !e.is_init() {
+            by_addr
+                .get_mut(&e.addr.expect("write has addr"))
+                .expect("every address has an init write")
+                .1
+                .push(e.id);
         }
     }
 
+    // Fixed graph parts. The init write precedes every other write of its
+    // location in every candidate, so those `ws` edges are part of the
+    // base.
+    let mut base_ghb = ppo_graph_of(&events);
+    base_ghb.union_with(&bar_graph_of(&events));
+    let mut base_uni = poloc_graph_of(&events);
+    for (init, ws_writes) in by_addr.values() {
+        for &w in ws_writes {
+            base_ghb.add_edge(init.index(), w.index());
+            base_uni.add_edge(init.index(), w.index());
+        }
+    }
+
+    // Value dependencies internal to each RMW: Wa's value is computed from
+    // what Ra read.
+    let mut base_dep = DiGraph::new(n);
+    {
+        let mut ra_of: BTreeMap<usize, EventId> = BTreeMap::new();
+        for e in &events {
+            if let Some(l) = e.rmw {
+                if l.half == RmwHalf::Read {
+                    ra_of.insert(l.rmw_id.0, e.id);
+                }
+            }
+        }
+        for e in &events {
+            if let Some(l) = e.rmw {
+                if l.half == RmwHalf::Write {
+                    base_dep.add_edge(ra_of[&l.rmw_id.0].index(), e.id.index());
+                }
+            }
+        }
+    }
+
+    let base_ws: BTreeMap<Addr, Vec<EventId>> = by_addr
+        .iter()
+        .map(|(&a, (init, _))| (a, vec![*init]))
+        .collect();
+    let locs: Vec<LocWrites> = by_addr
+        .into_iter()
+        .map(|(addr, (_, writes))| LocWrites { addr, writes })
+        .collect();
+    let disjuncts = atomicity_disjuncts(&events);
+
+    SearchCtx {
+        ctx: ExecCtx::new(events),
+        locs,
+        reads,
+        rf_choices,
+        disjuncts,
+        base_ghb,
+        base_uni,
+        base_dep,
+        base_ws,
+    }
+}
+
+impl SearchCtx {
     /// Branching factor of each decision level, in decision order: for
     /// every location the factors `k, k-1, …, 1` of its placement steps,
     /// then one factor per read (`rf` source count). Used to pick the
@@ -388,11 +353,12 @@ impl SearchCtx {
     }
 }
 
-/// A decision prefix identifying one independent subtree of the search:
-/// the first `ws` placements (in decision order, locations in address
-/// order), and — only when every write is already placed — the first
-/// `rf` choices. Produced by [`split_prefixes`], consumed by
-/// [`run_prefix`].
+/// A decision path from the root: the `ws` placements made so far (in
+/// decision order, locations in address order), then the `rf` choices
+/// (in read order, only once every write is placed). A partial path
+/// names one subtree — produced by [`split_prefixes`]; a full-depth path
+/// names one complete leaf — recorded for prefix certificates. Both are
+/// consumed by [`run_prefix`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Prefix {
     pub(crate) ws: Vec<EventId>,
@@ -400,10 +366,11 @@ pub(crate) struct Prefix {
 }
 
 /// Enumerates the viable decision prefixes at a depth chosen so their
-/// count reaches `target` (or the whole tree if it never does), in
-/// exactly the order the sequential DFS visits those subtrees. The
-/// returned stats cover the split levels' decision nodes — sequential
-/// totals are `split stats + Σ` [`run_prefix`] stats.
+/// count reaches `target` (or the whole tree if it never does; a single
+/// empty prefix when `target <= 1`), in exactly the order the sequential
+/// DFS visits those subtrees. This is the ordinary DFS run to that depth,
+/// so the returned stats cover the split levels' decision nodes exactly —
+/// sequential totals are `split stats + Σ` [`run_prefix`] stats.
 pub(crate) fn split_prefixes(sc: &SearchCtx, target: usize) -> (Vec<Prefix>, SearchStats) {
     let factors = sc.level_factors();
     let mut depth = 0usize;
@@ -413,150 +380,69 @@ pub(crate) fn split_prefixes(sc: &SearchCtx, target: usize) -> (Vec<Prefix>, Sea
         depth += 1;
     }
     let mut out = Vec::new();
-    let mut stats = SearchStats::default();
-    if depth == 0 {
-        // No decisions to split on (or target ≤ 1): one task, whole tree.
-        out.push(Prefix::default());
-        return (out, stats);
-    }
     let mut sink = |_: &CandidateExecution| ControlFlow::Continue(());
-    let mut search = Search::new(sc, &mut sink, None);
-    let mut path = Prefix::default();
-    search.split_ws(0, depth, &mut path, &mut out);
-    stats.absorb(&search.stats);
-    // `absorb` summed the split's zeroed tasks/workers; the caller sets
-    // the real values after merging task stats.
+    let mut search = Search::new(sc, &mut sink, None, Some(&mut out), None);
+    search.cutoff = depth;
+    let _ = search.resume(&Prefix::default());
+    // `tasks`/`workers` stay 0: the caller sets them after merging.
+    let stats = search.stats;
     (out, stats)
 }
 
-/// Runs the full sequential DFS from a prebuilt context, optionally
-/// recording the decision path of every complete leaf into `leaves` (in
-/// DFS order — the order [`run_prefix`] replays them for a certificate
-/// hit, see [`crate::prefix`]). Reports `tasks = workers = 1` like
-/// [`for_each_valid_execution`]; the context must be `ValidOnly` when
-/// recording (only complete leaves of the pruned engine are meaningful
-/// certificate entries).
-pub(crate) fn run_ctx(
+/// Replays `prefix` (whose viability the split already established; the
+/// empty prefix is the whole tree) and resumes the DFS below it, yielding
+/// to `visitor`. Reports `tasks = workers = 1`.
+///
+/// * `stop` is a cooperative cancellation flag checked at every decision
+///   node.
+/// * `leaves`, when set, receives the full decision path of every
+///   complete leaf in DFS order — the leaf log of a prefix certificate.
+/// * `budget`, when set, is charged one unit per decision node; running
+///   out aborts the run with `budget_exhausted` set. `None` can never be
+///   truncated (the calibration path and every un-budgeted caller).
+///
+/// A full-depth `prefix` replays straight to its leaf: zero decision
+/// nodes, one `complete`, with the atomicity disjunctions solved for
+/// *this* context's program — how [`crate::prefix`] replays a
+/// certificate's leaves for a sibling program.
+pub(crate) fn run_prefix(
     sc: &SearchCtx,
+    prefix: &Prefix,
     visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    leaves: Option<&mut Vec<Prefix>>,
-) -> SearchStats {
-    run_ctx_budgeted(sc, visitor, leaves, None)
-}
-
-/// [`run_ctx`] under an optional [`QueryBudget`]: the DFS additionally
-/// charges every decision node against `budget` and aborts (marking the
-/// stats budget-exhausted) when it runs out. `budget = None` is exactly
-/// [`run_ctx`] — the calibration path and every pre-budget caller go
-/// through that and can never be truncated.
-pub(crate) fn run_ctx_budgeted(
-    sc: &SearchCtx,
-    visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
+    stop: Option<&AtomicBool>,
     leaves: Option<&mut Vec<Prefix>>,
     budget: Option<&QueryBudget>,
 ) -> SearchStats {
-    let mut search = Search::new(sc, visitor, None);
-    search.leaves = leaves;
-    search.budget = budget;
-    // A `Break` here is just the early exit reaching the root.
-    let _ = search.search_ws(0);
+    let mut search = Search::new(sc, visitor, stop, leaves, budget);
+    // A `Break` here is just the early exit reaching the task root.
+    let _ = search.resume(prefix);
     let mut stats = search.stats;
     stats.tasks = 1;
     stats.workers = 1;
     stats
 }
 
-/// Replays `prefix` (whose viability the split already established) and
-/// resumes the ordinary DFS below it, yielding to `visitor`. `stop` is a
-/// cooperative cancellation flag checked at every decision node.
-pub(crate) fn run_prefix(
-    sc: &SearchCtx,
-    prefix: &Prefix,
-    visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    stop: Option<&AtomicBool>,
-) -> SearchStats {
-    run_prefix_with(sc, prefix, visitor, stop, None, None)
-}
-
-/// [`run_prefix`] with optional complete-leaf recording (the recording
-/// engine behind certificate capture on the split path). A *full-depth*
-/// `prefix` — one naming every `ws` placement and every `rf` choice —
-/// replays straight to the leaf: zero decision nodes, one `complete`,
-/// with the atomicity disjunctions solved for *this* context's program.
-/// That degenerate case is exactly how [`crate::prefix`] replays a
-/// certificate's leaves for a sibling program.
-pub(crate) fn run_prefix_with(
-    sc: &SearchCtx,
-    prefix: &Prefix,
-    visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    stop: Option<&AtomicBool>,
-    leaves: Option<&mut Vec<Prefix>>,
-    budget: Option<&QueryBudget>,
-) -> SearchStats {
-    let mut search = Search::new(sc, visitor, stop);
-    search.leaves = leaves;
-    search.budget = budget;
-
-    // Replay the ws placements. Decision order fills locations in order,
-    // so the prefix entries for the current location form the contiguous
-    // slice `prefix.ws[loc_start..]`.
-    let (mut li, mut loc_start) = (0usize, 0usize);
-    for (pos, &w) in prefix.ws.iter().enumerate() {
-        while sc.locs[li].writes.len() == pos - loc_start {
-            li += 1;
-            loc_start = pos;
-        }
-        let placed = &prefix.ws[loc_start..pos];
-        let mut added = Vec::new();
-        for &u in &sc.locs[li].writes {
-            if u != w && !placed.contains(&u) {
-                search.add_com_edge(w, u, &mut added);
-            }
-        }
-        search
-            .ws
-            .get_mut(&sc.locs[li].addr)
-            .expect("ws has every addr")
-            .push(w);
-        // The edges stay committed for the lifetime of the task.
-    }
-
-    if prefix.rf.is_empty() {
-        // Resume mid-placement (or at the rf phase if everything is
-        // placed — `place_writes` falls through on an empty remainder).
-        if li < sc.locs.len() {
-            let placed = &prefix.ws[loc_start..];
-            let mut remaining: Vec<EventId> = sc.locs[li]
-                .writes
-                .iter()
-                .copied()
-                .filter(|u| !placed.contains(u))
-                .collect();
-            let _ = search.place_writes(li, &mut remaining);
-        } else {
-            let _ = search.search_rf(0);
-        }
-    } else {
-        // An rf prefix implies every write was placed during the split.
-        for (ri, &w) in prefix.rf.iter().enumerate() {
-            let mut added = Vec::new();
-            search.push_rf(ri, w, &mut added);
-        }
-        let _ = search.search_rf(prefix.rf.len());
-    }
-    search.stats
-}
+/// An edge batch entry `(u, v, added to ghb, added to uni)`, kept so
+/// backtracking restores the exact graph state.
+type Added = (usize, usize, bool, bool);
 
 struct Search<'a> {
     sc: &'a SearchCtx,
-    /// `com ∪ ppo ∪ bar`, maintained incrementally (`ValidOnly` mode).
+    /// `com ∪ ppo ∪ bar`, maintained incrementally.
     ghb: DiGraph,
-    /// `com ∪ po-loc` — the uniproc check (`ValidOnly` mode).
+    /// `com ∪ po-loc` — the uniproc check.
     uni: DiGraph,
     /// Value-dependency graph: `rf` edges plus each RMW's `Ra → Wa`.
     dep: DiGraph,
     ws: BTreeMap<Addr, Vec<EventId>>,
     rf: BTreeMap<EventId, EventId>,
+    /// Decisions committed on the current path (`ws` placements plus `rf`
+    /// choices).
+    depth: usize,
+    /// Depth at which the DFS records the current path into `log` and
+    /// backtracks instead of descending (the split); `usize::MAX` searches
+    /// down to the leaves.
+    cutoff: usize,
     stats: SearchStats,
     stop: Option<&'a AtomicBool>,
     /// When set, every decision node is charged against this (shared)
@@ -564,18 +450,9 @@ struct Search<'a> {
     /// `stats.budget_exhausted` set.
     budget: Option<&'a QueryBudget>,
     visitor: &'a mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-    /// When set, every complete leaf's full decision path is appended (in
-    /// DFS order) — the raw material of a prefix certificate.
-    leaves: Option<&'a mut Vec<Prefix>>,
-}
-
-fn run(
-    program: &Program,
-    mode: Mode,
-    visitor: &mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
-) -> SearchStats {
-    let sc = SearchCtx::build(program, mode);
-    run_ctx(&sc, visitor, None)
+    /// When set, receives (in DFS order) the decision path of every node
+    /// at `cutoff`, or of every complete leaf when there is no cutoff.
+    log: Option<&'a mut Vec<Prefix>>,
 }
 
 impl<'a> Search<'a> {
@@ -583,6 +460,8 @@ impl<'a> Search<'a> {
         sc: &'a SearchCtx,
         visitor: &'a mut dyn FnMut(&CandidateExecution) -> ControlFlow<()>,
         stop: Option<&'a AtomicBool>,
+        log: Option<&'a mut Vec<Prefix>>,
+        budget: Option<&'a QueryBudget>,
     ) -> Self {
         Search {
             sc,
@@ -591,25 +470,81 @@ impl<'a> Search<'a> {
             dep: sc.base_dep.clone(),
             ws: sc.base_ws.clone(),
             rf: BTreeMap::new(),
+            depth: 0,
+            cutoff: usize::MAX,
             stats: SearchStats::default(),
             stop,
-            budget: None,
+            budget,
             visitor,
-            leaves: None,
+            log,
         }
     }
 
-    /// The full decision path of the current (complete) assignment: every
-    /// location's non-init serialization in decision order, then every
-    /// read's `rf` source in read order. Feeding this back through
-    /// [`run_prefix`] replays straight to the same leaf.
-    fn leaf_path(&self) -> Prefix {
-        let mut ws = Vec::new();
-        for loc in &self.sc.locs {
-            ws.extend_from_slice(&self.ws[&loc.addr][1..]);
+    /// Replays `prefix` and resumes the DFS below it. Decision order fills
+    /// locations in order, so the prefix entries for the current location
+    /// form the contiguous slice `prefix.ws[loc_start..]`; the replayed
+    /// edges stay committed for the lifetime of the run.
+    fn resume(&mut self, prefix: &Prefix) -> ControlFlow<()> {
+        let sc = self.sc;
+        let (mut li, mut loc_start) = (0usize, 0usize);
+        for (pos, &w) in prefix.ws.iter().enumerate() {
+            while sc.locs[li].writes.len() == pos - loc_start {
+                li += 1;
+                loc_start = pos;
+            }
+            let placed = &prefix.ws[loc_start..pos];
+            let later = sc.locs[li]
+                .writes
+                .iter()
+                .copied()
+                .filter(|u| *u != w && !placed.contains(u));
+            self.push_ws(li, w, later, &mut Vec::new());
         }
-        let rf = self.sc.reads.iter().map(|r| self.rf[r]).collect();
-        Prefix { ws, rf }
+        // An rf prefix implies every write was placed.
+        for (ri, &w) in prefix.rf.iter().enumerate() {
+            self.push_rf(ri, w, &mut Vec::new());
+        }
+        if prefix.rf.is_empty() && li < sc.locs.len() {
+            // Resume mid-placement (`place_writes` falls through to the
+            // next location on an empty remainder).
+            let placed = &prefix.ws[loc_start..];
+            let mut remaining: Vec<EventId> = sc.locs[li]
+                .writes
+                .iter()
+                .copied()
+                .filter(|u| !placed.contains(u))
+                .collect();
+            self.place_writes(li, &mut remaining)
+        } else {
+            self.search_rf(prefix.rf.len())
+        }
+    }
+
+    /// Appends the current decision path to the log, if one is kept.
+    fn record_path(&mut self) {
+        if let Some(log) = self.log.as_deref_mut() {
+            let mut ws = Vec::new();
+            for loc in &self.sc.locs {
+                ws.extend_from_slice(&self.ws[&loc.addr][1..]);
+            }
+            let rf = self
+                .sc
+                .reads
+                .iter()
+                .map_while(|r| self.rf.get(r).copied())
+                .collect();
+            log.push(Prefix { ws, rf });
+        }
+    }
+
+    /// True at the split depth, after recording the current path: the
+    /// caller backtracks instead of descending.
+    fn at_cutoff(&mut self) -> bool {
+        if self.depth < self.cutoff {
+            return false;
+        }
+        self.record_path();
+        true
     }
 
     /// True when a cooperative stop was requested or the query budget ran
@@ -641,48 +576,69 @@ impl<'a> Search<'a> {
     /// Chooses the next write in location `li`'s serialization among
     /// `remaining`, committing the implied `ws` edges incrementally.
     fn place_writes(&mut self, li: usize, remaining: &mut Vec<EventId>) -> ControlFlow<()> {
+        if self.at_cutoff() {
+            return ControlFlow::Continue(());
+        }
         if remaining.is_empty() {
             return self.search_ws(li + 1);
         }
-        let addr = self.sc.locs[li].addr;
         for i in 0..remaining.len() {
             if self.should_stop() {
                 return ControlFlow::Break(());
             }
             let w = remaining.remove(i);
             self.stats.nodes += 1;
-            // Placing `w` next means `w` precedes every still-unplaced
-            // write of this location in every completion of this branch.
-            // (Edges from the already-placed prefix to `w` were added when
-            // those writes were placed; init → `w` is in the base.)
             let mut added = Vec::new();
-            if self.sc.mode == Mode::ValidOnly {
-                for &u in remaining.iter() {
-                    self.add_com_edge(w, u, &mut added);
-                }
-            }
-            self.ws.get_mut(&addr).expect("ws has every addr").push(w);
-
-            let viable = self.sc.mode == Mode::AllCandidates || self.still_acyclic(&added);
-            let flow = if viable {
+            self.push_ws(li, w, remaining.iter().copied(), &mut added);
+            let flow = if self.still_acyclic(&added) {
                 self.place_writes(li, remaining)
             } else {
                 self.stats.pruned += 1;
                 ControlFlow::Continue(())
             };
-
-            self.ws.get_mut(&addr).expect("ws has every addr").pop();
-            self.remove_com_edges(&added);
+            self.pop_ws(li, &added);
             remaining.insert(i, w);
             flow?;
         }
         ControlFlow::Continue(())
     }
 
+    /// Commits `w` as the next write of location `li`'s serialization.
+    /// `w` then precedes every write in `later` (the still-unplaced ones)
+    /// in every completion of this branch, so those `com` edges go in now,
+    /// recorded in `added` for undo. Edges from the already-placed writes
+    /// to `w` were added when those were placed; init → `w` is in the
+    /// base.
+    fn push_ws(
+        &mut self,
+        li: usize,
+        w: EventId,
+        later: impl IntoIterator<Item = EventId>,
+        added: &mut Vec<Added>,
+    ) {
+        for u in later {
+            self.add_com_edge(w, u, added);
+        }
+        let addr = self.sc.locs[li].addr;
+        self.ws.get_mut(&addr).expect("ws has every addr").push(w);
+        self.depth += 1;
+    }
+
+    /// Undoes [`Search::push_ws`].
+    fn pop_ws(&mut self, li: usize, added: &[Added]) {
+        let addr = self.sc.locs[li].addr;
+        self.ws.get_mut(&addr).expect("ws has every addr").pop();
+        self.remove_com_edges(added);
+        self.depth -= 1;
+    }
+
     /// DFS level 2: assign a reads-from source to read `ri` (all `ws`
     /// serializations are complete at this point, so the choice fixes the
     /// read's `rfe` and `fr` edges exactly).
     fn search_rf(&mut self, ri: usize) -> ControlFlow<()> {
+        if self.at_cutoff() {
+            return ControlFlow::Continue(());
+        }
         let Some(&r) = self.sc.reads.get(ri) else {
             return self.complete();
         };
@@ -698,8 +654,7 @@ impl<'a> Search<'a> {
             self.stats.nodes += 1;
 
             // Value dependency r ← w; a cycle means an RMW's value would
-            // depend on itself — dropped in every mode (as the legacy
-            // enumerator drops candidates `resolve_values` rejects).
+            // depend on itself (the candidates `resolve_values` rejects).
             // Adding w → r closes a cycle iff r already reaches w.
             if is_rmw_read && self.dep.reaches(r.index(), w.index()) {
                 self.stats.pruned += 1;
@@ -707,15 +662,12 @@ impl<'a> Search<'a> {
             }
             let mut added = Vec::new();
             self.push_rf(ri, w, &mut added);
-            let viable = self.sc.mode == Mode::AllCandidates || self.still_acyclic(&added);
-
-            let flow = if viable {
+            let flow = if self.still_acyclic(&added) {
                 self.search_rf(ri + 1)
             } else {
                 self.stats.pruned += 1;
                 ControlFlow::Continue(())
             };
-
             self.pop_rf(ri, w, &added);
             flow?;
         }
@@ -723,193 +675,85 @@ impl<'a> Search<'a> {
     }
 
     /// Commits read `ri`'s `rf` choice `w`: the value-dependency edge (for
-    /// RMW read halves), the `rf` map entry, and — in pruning mode — the
-    /// implied `rfe` and `fr` `com` edges, recorded in `added` for undo.
-    /// The dep-cycle check is the *caller's* job (a prefix replay skips it;
-    /// the split established viability already).
-    fn push_rf(&mut self, ri: usize, w: EventId, added: &mut Vec<(usize, usize, bool, bool)>) {
-        let r = self.sc.reads[ri];
-        if self.sc.ctx.events[r.index()].rmw.is_some() {
+    /// RMW read halves), the `rf` map entry, and the implied `rfe` and
+    /// `fr` `com` edges, recorded in `added` for undo. The dep-cycle check
+    /// is the *caller's* job (a prefix replay skips it; the split
+    /// established viability already).
+    fn push_rf(&mut self, ri: usize, w: EventId, added: &mut Vec<Added>) {
+        let sc = self.sc;
+        let r = sc.reads[ri];
+        let (er, ew) = (&sc.ctx.events[r.index()], &sc.ctx.events[w.index()]);
+        if er.rmw.is_some() {
             self.dep.add_edge(w.index(), r.index());
         }
         self.rf.insert(r, w);
-        if self.sc.mode == Mode::ValidOnly {
-            let er = &self.sc.ctx.events[r.index()];
-            let ew = &self.sc.ctx.events[w.index()];
-            let external = ew.is_init() || er.tid != ew.tid;
-            let addr = er.addr.expect("read has addr");
-            // rfe: external reads-from participates in com (both graphs);
-            // rfi participates in uniproc only — it is not `ghb` (TSO
-            // store forwarding) but still forbids reading one's own
-            // po-later write.
-            if external {
-                self.add_com_edge(w, r, added);
-            } else {
-                self.add_uni_edge(w, r, added);
-            }
-            // fr: r precedes every write ws-after its source.
-            let order = &self.ws[&addr];
-            let pos = order
-                .iter()
-                .position(|&x| x == w)
-                .expect("rf source is in ws");
-            let later: Vec<EventId> = order[pos + 1..].to_vec();
-            for u in later {
-                self.add_com_edge(r, u, added);
-            }
+        self.depth += 1;
+        // rfe: external reads-from participates in com (both graphs); rfi
+        // participates in uniproc only — it is not `ghb` (TSO store
+        // forwarding) but still forbids reading one's own po-later write.
+        if ew.is_init() || er.tid != ew.tid {
+            self.add_com_edge(w, r, added);
+        } else {
+            self.add_uni_edge(w, r, added);
+        }
+        // fr: r precedes every write ws-after its source.
+        let order = &self.ws[&er.addr.expect("read has addr")];
+        let pos = order
+            .iter()
+            .position(|&x| x == w)
+            .expect("rf source is in ws");
+        let later: Vec<EventId> = order[pos + 1..].to_vec();
+        for u in later {
+            self.add_com_edge(r, u, added);
         }
     }
 
     /// Undoes [`Search::push_rf`].
-    fn pop_rf(&mut self, ri: usize, w: EventId, added: &[(usize, usize, bool, bool)]) {
+    fn pop_rf(&mut self, ri: usize, w: EventId, added: &[Added]) {
         let r = self.sc.reads[ri];
         self.remove_com_edges(added);
         self.rf.remove(&r);
+        self.depth -= 1;
         if self.sc.ctx.events[r.index()].rmw.is_some() {
             self.dep.remove_edge(w.index(), r.index());
         }
     }
 
-    /// A complete `rf × ws` assignment: assemble the execution, finish the
-    /// validity check (the atomicity disjunctions), and yield.
+    /// A complete `rf × ws` assignment: finish the validity check (the
+    /// atomicity disjunctions), and assemble and yield the execution only
+    /// when it is valid.
     fn complete(&mut self) -> ControlFlow<()> {
         self.stats.complete += 1;
-        if self.leaves.is_some() {
-            // `leaf_path` needs `&self`, so the path is built before the
-            // mutable re-borrow of the log.
-            let path = self.leaf_path();
-            if let Some(leaves) = &mut self.leaves {
-                leaves.push(path);
-            }
-        }
+        self.record_path();
         let Some(values) = resolve_values(&self.sc.ctx.events, &self.rf) else {
             // Unreachable: the dep graph is acyclic on this path, and it
             // contains every value dependency `resolve_values` follows.
             return ControlFlow::Continue(());
         };
+        // uniproc already holds (incremental `uni` checks); what is left is
+        // the existential over atomicity-induced edges, on the
+        // incrementally maintained `com ∪ ppo ∪ bar`.
+        if solve_ato(self.ghb.clone(), &self.sc.disjuncts).is_none() {
+            return ControlFlow::Continue(());
+        }
+        self.stats.valid += 1;
         let exec = CandidateExecution::assemble(
             Arc::clone(&self.sc.ctx),
             self.rf.clone(),
             self.ws.clone(),
             values,
         );
-        let flow = match self.sc.mode {
-            Mode::AllCandidates => (self.visitor)(&exec),
-            Mode::ValidOnly => {
-                // uniproc already holds (incremental `uni` checks); what is
-                // left is the existential over atomicity-induced edges, on
-                // the incrementally maintained `com ∪ ppo ∪ bar`.
-                match solve_ato(&exec, self.ghb.clone(), &self.sc.disjuncts) {
-                    Validity::Valid(_) => {
-                        self.stats.valid += 1;
-                        (self.visitor)(&exec)
-                    }
-                    _ => ControlFlow::Continue(()),
-                }
-            }
-        };
+        let flow = (self.visitor)(&exec);
         if flow.is_break() {
             self.stats.stopped_early = true;
         }
         flow
     }
 
-    /// Split-phase mirror of [`Search::search_ws`]: descend `depth_left`
-    /// more decision levels, emitting every viable prefix.
-    fn split_ws(&mut self, li: usize, depth_left: usize, path: &mut Prefix, out: &mut Vec<Prefix>) {
-        if depth_left == 0 {
-            out.push(path.clone());
-            return;
-        }
-        let Some(loc) = self.sc.locs.get(li) else {
-            self.split_rf(0, depth_left, path, out);
-            return;
-        };
-        let mut remaining = loc.writes.clone();
-        self.split_place(li, &mut remaining, depth_left, path, out);
-    }
-
-    /// Split-phase mirror of [`Search::place_writes`], counting nodes and
-    /// prunes exactly as the sequential engine would at these levels.
-    fn split_place(
-        &mut self,
-        li: usize,
-        remaining: &mut Vec<EventId>,
-        depth_left: usize,
-        path: &mut Prefix,
-        out: &mut Vec<Prefix>,
-    ) {
-        if depth_left == 0 {
-            out.push(path.clone());
-            return;
-        }
-        if remaining.is_empty() {
-            self.split_ws(li + 1, depth_left, path, out);
-            return;
-        }
-        let addr = self.sc.locs[li].addr;
-        for i in 0..remaining.len() {
-            let w = remaining.remove(i);
-            self.stats.nodes += 1;
-            let mut added = Vec::new();
-            for &u in remaining.iter() {
-                self.add_com_edge(w, u, &mut added);
-            }
-            self.ws.get_mut(&addr).expect("ws has every addr").push(w);
-
-            if self.still_acyclic(&added) {
-                path.ws.push(w);
-                self.split_place(li, remaining, depth_left - 1, path, out);
-                path.ws.pop();
-            } else {
-                self.stats.pruned += 1;
-            }
-
-            self.ws.get_mut(&addr).expect("ws has every addr").pop();
-            self.remove_com_edges(&added);
-            remaining.insert(i, w);
-        }
-    }
-
-    /// Split-phase mirror of [`Search::search_rf`] — reached only when the
-    /// program has so little `ws` choice that the split extends into the
-    /// `rf` levels to find enough independent subtrees.
-    fn split_rf(&mut self, ri: usize, depth_left: usize, path: &mut Prefix, out: &mut Vec<Prefix>) {
-        if depth_left == 0 || ri >= self.sc.reads.len() {
-            out.push(path.clone());
-            return;
-        }
-        let r = self.sc.reads[ri];
-        let is_rmw_read = self.sc.ctx.events[r.index()].rmw.is_some();
-        for ci in 0..self.sc.rf_choices[ri].len() {
-            let w = self.sc.rf_choices[ri][ci];
-            self.stats.nodes += 1;
-            if is_rmw_read && self.dep.reaches(r.index(), w.index()) {
-                self.stats.pruned += 1;
-                continue;
-            }
-            let mut added = Vec::new();
-            self.push_rf(ri, w, &mut added);
-            if self.still_acyclic(&added) {
-                path.rf.push(w);
-                self.split_rf(ri + 1, depth_left - 1, path, out);
-                path.rf.pop();
-            } else {
-                self.stats.pruned += 1;
-            }
-            self.pop_rf(ri, w, &added);
-        }
-    }
-
     /// Adds a `com` edge to both incremental graphs, recording which of the
     /// two actually changed so backtracking restores the exact state (the
     /// edge may already be present via `ppo`, `bar`, or `po-loc`).
-    fn add_com_edge(
-        &mut self,
-        u: EventId,
-        v: EventId,
-        added: &mut Vec<(usize, usize, bool, bool)>,
-    ) {
+    fn add_com_edge(&mut self, u: EventId, v: EventId, added: &mut Vec<Added>) {
         let (ui, vi) = (u.index(), v.index());
         let in_ghb = self.ghb.has_edge(ui, vi);
         let in_uni = self.uni.has_edge(ui, vi);
@@ -926,12 +770,7 @@ impl<'a> Search<'a> {
 
     /// Adds an edge to the `uni` (uniproc) graph only — used for `rfi`,
     /// which constrains per-location coherence but not `ghb`.
-    fn add_uni_edge(
-        &mut self,
-        u: EventId,
-        v: EventId,
-        added: &mut Vec<(usize, usize, bool, bool)>,
-    ) {
+    fn add_uni_edge(&mut self, u: EventId, v: EventId, added: &mut Vec<Added>) {
         let (ui, vi) = (u.index(), v.index());
         if !self.uni.has_edge(ui, vi) {
             self.uni.add_edge(ui, vi);
@@ -945,14 +784,14 @@ impl<'a> Search<'a> {
     /// `u → v` — i.e. `v` must (now) reach `u`. Probing reachability from
     /// the handful of new edges is much cheaper than re-running a
     /// whole-graph topological sort at every decision node.
-    fn still_acyclic(&self, added: &[(usize, usize, bool, bool)]) -> bool {
+    fn still_acyclic(&self, added: &[Added]) -> bool {
         added.iter().all(|&(u, v, in_ghb, in_uni)| {
             (!in_ghb || !self.ghb.reaches(v, u)) && (!in_uni || !self.uni.reaches(v, u))
         })
     }
 
     /// Undoes a batch of [`Search::add_com_edge`] calls.
-    fn remove_com_edges(&mut self, added: &[(usize, usize, bool, bool)]) {
+    fn remove_com_edges(&mut self, added: &[Added]) {
         for &(u, v, ghb, uni) in added {
             if ghb {
                 self.ghb.remove_edge(u, v);
@@ -983,7 +822,7 @@ mod tests {
         b.build()
     }
 
-    /// Reference implementation: legacy enumeration + filter.
+    /// Reference implementation: brute-force enumeration + filter.
     fn legacy_valid_read_values(p: &Program) -> BTreeSet<Vec<u64>> {
         enumerate_candidates(p)
             .into_iter()
@@ -1177,7 +1016,7 @@ mod tests {
                     yielded.push(e.read_values());
                     ControlFlow::Continue(())
                 };
-                total.absorb(&run_prefix(&sc, prefix, &mut visitor, None));
+                total.absorb(&run_prefix(&sc, prefix, &mut visitor, None, None, None));
             }
             assert_eq!(total.nodes, seq.nodes, "target {target}");
             assert_eq!(total.pruned, seq.pruned, "target {target}");
@@ -1208,13 +1047,16 @@ mod tests {
         let sc = build_ctx(&p);
         let mut leaves = Vec::new();
         let mut seq_yield = Vec::new();
-        let stats = run_ctx(
+        let stats = run_prefix(
             &sc,
+            &Prefix::default(),
             &mut |e| {
                 seq_yield.push(e.read_values());
                 ControlFlow::Continue(())
             },
+            None,
             Some(&mut leaves),
+            None,
         );
         assert_eq!(leaves.len() as u64, stats.complete);
         let mut replay_yield = Vec::new();
@@ -1227,6 +1069,8 @@ mod tests {
                     replay_yield.push(e.read_values());
                     ControlFlow::Continue(())
                 },
+                None,
+                None,
                 None,
             ));
         }
@@ -1284,7 +1128,7 @@ mod tests {
             seen += 1;
             ControlFlow::Continue(())
         };
-        let stats = run_prefix(&sc, &prefixes[0], &mut visitor, Some(&stop));
+        let stats = run_prefix(&sc, &prefixes[0], &mut visitor, Some(&stop), None, None);
         assert_eq!(seen, 0, "pre-set stop flag must abort before any yield");
         assert!(stats.stopped_early);
     }

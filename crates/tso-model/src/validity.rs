@@ -11,8 +11,8 @@
 //!    `M →ghb Ra  ∨  Wa →ghb M`.
 //!
 //! The checker performs a backtracking search over the disjunctions with
-//! incremental cycle detection; on success it extracts a [`Witness`] — a
-//! concrete `ghb` linearization demonstrating validity.
+//! incremental cycle detection; on success [`check_validity`] extracts a
+//! [`Witness`] — a concrete `ghb` linearization demonstrating validity.
 
 use crate::event::{Event, EventId};
 use crate::execution::{rmws_of, CandidateExecution};
@@ -67,9 +67,9 @@ impl Witness {
 /// One atomicity disjunction: `m →ghb ra  ∨  wa →ghb m`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Disjunct {
-    m: EventId,
-    ra: EventId,
-    wa: EventId,
+    pub(crate) m: EventId,
+    pub(crate) ra: EventId,
+    pub(crate) wa: EventId,
 }
 
 /// Collects the atomicity disjunctions of an event list. These depend only
@@ -92,7 +92,10 @@ pub(crate) fn atomicity_disjuncts(events: &[Event]) -> Vec<Disjunct> {
     disjuncts
 }
 
-/// Checks the validity of a candidate execution.
+/// Checks the validity of a candidate execution, extracting a [`Witness`]
+/// when it is valid. This is the reference checker; the search engine
+/// decides the same question incrementally and only asks `solve_ato`
+/// yes or no at its leaves.
 pub fn check_validity(exec: &CandidateExecution) -> Validity {
     // uniproc: com ∪ po-loc acyclic. `com_graph` carries only `rfe` (the
     // `ghb` view of `rf`); uniproc additionally needs `rfi`, or a read
@@ -111,66 +114,57 @@ pub fn check_validity(exec: &CandidateExecution) -> Validity {
     base.union_with(&exec.ppo_graph());
     base.union_with(&exec.bar_graph());
 
-    let disjuncts = atomicity_disjuncts(exec.events());
-    solve_ato(exec, base, &disjuncts)
-}
-
-/// Solves the atomicity disjunctions over a prebuilt `com ∪ ppo ∪ bar` base
-/// graph, producing a [`Witness`] on success. The `uniproc` condition must
-/// already have been established by the caller.
-pub(crate) fn solve_ato(
-    exec: &CandidateExecution,
-    mut base: DiGraph,
-    disjuncts: &[Disjunct],
-) -> Validity {
-    let mut ato = Vec::new();
-    match solve(&mut base, disjuncts, 0, &mut ato) {
-        Some(graph) => {
+    match solve_ato(base, &atomicity_disjuncts(exec.events())) {
+        Some((graph, ato_edges)) => {
             let order = graph.topo_order().expect("solver returns acyclic graph");
-            let ghb: Vec<EventId> = order
+            let ghb = order
                 .into_iter()
                 .map(EventId)
                 .filter(|&id| exec.event(id).is_mem())
                 .collect();
-            Validity::Valid(Witness {
-                ghb,
-                ato_edges: ato,
-            })
+            Validity::Valid(Witness { ghb, ato_edges })
         }
         None => Validity::Cyclic,
     }
 }
 
-/// Backtracking over disjunctions. Returns the final acyclic graph on
-/// success; `ato` accumulates the committed edges.
-fn solve(
-    graph: &mut DiGraph,
+/// Solves the atomicity disjunctions over a prebuilt `com ∪ ppo ∪ bar`
+/// graph: the graph with one acyclic choice of `ato` edges committed, plus
+/// those edges, or `None` when no choice is acyclic. The `uniproc`
+/// condition must already have been established by the caller.
+pub(crate) fn solve_ato(
+    mut graph: DiGraph,
     disjuncts: &[Disjunct],
-    idx: usize,
-    ato: &mut Vec<(EventId, EventId)>,
-) -> Option<DiGraph> {
+) -> Option<(DiGraph, Vec<(EventId, EventId)>)> {
+    let mut ato = Vec::new();
+    solve(&mut graph, disjuncts, &mut ato).then_some((graph, ato))
+}
+
+/// Backtracking over disjunctions. On success the chosen edges stay in
+/// `graph` and `ato`; on failure both are restored.
+fn solve(graph: &mut DiGraph, disjuncts: &[Disjunct], ato: &mut Vec<(EventId, EventId)>) -> bool {
     if !graph.is_acyclic() {
-        return None;
+        return false;
     }
-    let Some(d) = disjuncts.get(idx) else {
-        return Some(graph.clone());
+    let Some((d, rest)) = disjuncts.split_first() else {
+        return true;
     };
-    // Option A: M → Ra.
+    // Option A: M → Ra; option B: Wa → M.
     for (u, v) in [(d.m, d.ra), (d.wa, d.m)] {
         let already = graph.has_edge(u.index(), v.index());
         if !already {
             graph.add_edge(u.index(), v.index());
         }
         ato.push((u, v));
-        if let Some(solved) = solve(graph, disjuncts, idx + 1, ato) {
-            return Some(solved);
+        if solve(graph, rest, ato) {
+            return true;
         }
         ato.pop();
         if !already {
             graph.remove_edge(u.index(), v.index());
         }
     }
-    None
+    false
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
-//! Equivalence of the streaming, pruned search engine and the legacy
-//! materializing enumerator.
+//! Equivalence of the streaming, pruned search engine and the
+//! materializing reference enumerator.
 //!
 //! The contract of [`tso_model::search`] is that pruning never changes the
 //! answer: the executions it yields are exactly the valid ones among
-//! `enumerate_candidates(p)`. This suite checks that on
+//! `enumerate_candidates(p)` — a brute-force oracle (every `ws`
+//! permutation × every `rf` choice) that shares no code with the search,
+//! so agreement is between two independent implementations. This suite
+//! checks that on
 //!
 //! * the full [`litmus::classic`] and [`litmus::paper`] corpora (every
 //!   program the repo uses to reproduce the paper's Table 1 verdicts), and

@@ -74,8 +74,8 @@ fn fig10_deadlock_manifests_and_is_avoided_for_both_weak_types() {
 
 #[test]
 fn lemma_results_visible_across_crates() {
-    use fast_rmw_tso::tso_model::lemmas::{ordering_enforced, valid_candidates};
-    use fast_rmw_tso::tso_model::ProgramBuilder;
+    use fast_rmw_tso::tso_model::lemmas::ordering_enforced;
+    use fast_rmw_tso::tso_model::{valid_executions, ProgramBuilder};
     use rmw_types::RmwKind;
 
     // Lemma 1 via the public API: W1 → R2 enforced around a type-1 RMW.
@@ -86,7 +86,7 @@ fn lemma_results_visible_across_crates() {
         .read(Addr(1));
     b.thread().write(Addr(1), 1);
     let p = b.build();
-    for c in valid_candidates(&p) {
+    for c in valid_executions(&p) {
         let w1 = c
             .events()
             .iter()
